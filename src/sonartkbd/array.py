@@ -77,30 +77,6 @@ class ArrayGeometry:
         return cls(pos, speed_of_sound, sample_rate)
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """One hydrophone batch: `data` has shape (N, M), row n is sample n."""
-
-    data: np.ndarray
-    index: int = 0
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        if d.ndim != 2:
-            raise BatchShapeError(f"batch must be 2-d (N, M), got ndim {d.ndim}")
-        if d.shape[0] % 2 != 0 or d.shape[0] < 2:
-            raise BatchShapeError(f"batch length must be even, got {d.shape[0]}")
-        object.__setattr__(self, "data", d)
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[1]
-
-
 def steering_delays(geom: ArrayGeometry, bearing_deg: float) -> np.ndarray:
     """Per-element plane-wave delays in seconds, relative to element 0.
 
@@ -177,7 +153,7 @@ def apply_steering(op: SteeringOperator, source: np.ndarray) -> np.ndarray:
     return out.T.copy()
 
 
-def beamform(op: SteeringOperator, batch: SampleBatch | np.ndarray) -> float:
+def beamform(op: SteeringOperator, batch: np.ndarray) -> float:
     """Delay-and-sum energy of `batch` steered to `op.bearing_deg`.
 
     Each channel is shifted by the negated steering delay (the transpose of
@@ -185,7 +161,7 @@ def beamform(op: SteeringOperator, batch: SampleBatch | np.ndarray) -> float:
     the result is the squared 2-norm of that sum. Computed in the DFT
     domain, where the sum's energy is ||S||^2 / N by Parseval.
     """
-    data = batch.data if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=float)
+    data = np.asarray(batch, dtype=float)
     if data.ndim != 2 or data.shape != (op.n_samples, op.n_channels):
         raise BatchShapeError(
             f"batch shape {data.shape} does not match operator "
@@ -217,7 +193,7 @@ class BeamformGrid:
 
     def energies(self, batch: np.ndarray) -> np.ndarray:
         """Beamformed energy at every grid bearing for one (N, M) batch."""
-        data = batch.data if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=float)
+        data = np.asarray(batch, dtype=float)
         if data.shape != (self.n_samples, self.geom.n_channels):
             raise BatchShapeError(
                 f"batch shape {data.shape} does not match grid "
@@ -226,21 +202,3 @@ class BeamformGrid:
         summed = np.einsum("gmn,nm->gn", self._steer, spec)
         return (summed.real ** 2 + summed.imag ** 2).sum(axis=1) / self.n_samples
 
-
-def btr(batches, geom: ArrayGeometry, bearings_deg: np.ndarray, normalize: bool = False) -> np.ndarray:
-    """Bearing-time record: one row of beamformed energies per batch.
-
-    With `normalize=True` the matrix is scaled so its maximum entry is 1;
-    an all-zero record is returned unscaled.
-    """
-    blist = list(batches)
-    if not blist:
-        return np.zeros((0, len(bearings_deg)))
-    first = blist[0].data if isinstance(blist[0], SampleBatch) else np.asarray(blist[0])
-    grid = BeamformGrid(geom, bearings_deg, first.shape[0])
-    rows = np.vstack([grid.energies(b) for b in blist])
-    if normalize:
-        peak = rows.max()
-        if peak > 0:
-            rows = rows / peak
-    return rows

@@ -23,12 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .array import ArrayGeometry, btr as btr_matrix
+from .array import ArrayGeometry, BeamformGrid
 from .config import ConfigError, default_config, load_config, save_config
+from .detect import CfarDetector
 from .evaluate import OspaParams, aggregate_quantiles, make_run_report
-from .noise import fit_var, load_var, save_var, select_order, whiten
-from .pipeline import (VARIANTS, bearing_grid, load_track_log, run_tracker,
-                       save_detections, save_track_log, spawn_rng)
+from .noise import fit_var, load_var, save_var, select_order
+from .pipeline import (VARIANTS, beam_energies, bearing_grid, cfar_params_from_config,
+                       load_track_log, run_tracker, save_detections, save_track_log,
+                       spawn_rng)
 from .sim import generate_dataset, load_dataset, save_dataset
 from .study import (SEED_SIMULATE, SEED_TRACK, calibrate_variant,
                     scenario_from_config)
@@ -160,20 +162,15 @@ def cmd_calibrate_prior(args) -> int:
 def cmd_btr(args) -> int:
     cfg = _load_cfg(args)
     ds = load_dataset(args.data)
-    grid = bearing_grid(cfg.grid_bearing_step_deg)
-    batches = [b for _, b in ds.batches()]
-    if args.model:
-        model = load_var(args.model)
-        whitened = []
-        state = None
-        for b in batches:
-            w, state, _ = whiten(model, b, state)
-            whitened.append(w)
-        batches = whitened
-    rows = btr_matrix(batches, ds.geometry, grid, normalize=not args.raw)
+    model = load_var(args.model) if args.model else None
+    grid = BeamformGrid(ds.geometry, bearing_grid(cfg.grid_bearing_step_deg), ds.n_per_batch)
+    rows, _, _ = beam_energies(ds, grid, model)
+    peak = rows.max(initial=0.0)
+    if not args.raw and peak > 0:
+        rows = rows / peak
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["batch_index"] + [f"{b:.3f}" for b in grid])
+        writer.writerow(["batch_index"] + [f"{b:.3f}" for b in grid.bearings_deg])
         for k in range(rows.shape[0]):
             writer.writerow([k] + [f"{v:.8g}" for v in rows[k]])
     print(f"wrote {rows.shape[0]} x {rows.shape[1]} bearing-time record to {args.out}")
@@ -184,17 +181,10 @@ def cmd_detect(args) -> int:
     """Standalone CFAR pass, mostly for inspecting the detector."""
     cfg = _load_cfg(args)
     ds = load_dataset(args.data)
-    from .detect import CfarDetector, CfarParams
-    from .array import BeamformGrid
-    grid = BeamformGrid(ds.geometry, bearing_grid(cfg.grid_bearing_step_deg),
-                        ds.n_per_batch)
-    det = CfarDetector(CfarParams(cfg.cfar_guard_cells, cfg.cfar_train_cells,
-                                  cfg.cfar_train_rows, cfg.cfar_alpha),
-                       grid.bearings_deg)
-    rows = []
-    for k, batch in ds.batches():
-        for bearing in det.push(grid.energies(batch)):
-            rows.append((k, float(bearing)))
+    grid = BeamformGrid(ds.geometry, bearing_grid(cfg.grid_bearing_step_deg), ds.n_per_batch)
+    det = CfarDetector(cfar_params_from_config(cfg), grid.bearings_deg)
+    energies, _, _ = beam_energies(ds, grid)
+    rows = [(k, float(bearing)) for k, row in enumerate(energies) for bearing in det.push(row)]
     save_detections(rows, args.out)
     print(f"wrote {len(rows)} detections to {args.out}")
     return 0

@@ -139,6 +139,11 @@ class CfarDetector:
     def __init__(self, params: CfarParams, bearings_deg: np.ndarray):
         self.params = params
         self.bearings_deg = np.asarray(bearings_deg, dtype=float)
+        window = _window_kernel(params).size
+        if window > self.bearings_deg.size:
+            raise ValueError(
+                f"CFAR window of {window} cells (2*(guard+train)+1) is wider than "
+                f"the {self.bearings_deg.size}-cell bearing grid")
         self._rows: deque = deque(maxlen=params.train_rows)
 
     def push(self, row: np.ndarray) -> np.ndarray:

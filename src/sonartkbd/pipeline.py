@@ -1,4 +1,4 @@
-"""Tracker pipelines: measurement preparation wired to the Bernoulli filter.
+"""Tracker pipelines: one measurement front end wired to the Bernoulli filter.
 
 Four variants share the identical filter and differ only in how a raw
 batch becomes a likelihood ratio:
@@ -8,7 +8,11 @@ batch becomes a likelihood ratio:
     gvar   Gaussian ratio on a VAR(p)-whitened batch
     cfar   detection-based ratio from a CFAR front end on the raw record
 
-`run_tracker` drives any of them over a dataset and returns a TrackLog.
+`beam_energies` whitens a dataset's whole stream once and beamforms every
+batch; `sonartkbd btr` and `sonartkbd detect` read the same energies.
+`make_likelihood` turns them into one ln L(psi, eta) per batch for a
+variant, and `run_tracker` drives the filter over those and returns a
+TrackLog.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArrayGeometry, BeamformGrid
+from .array import BeamformGrid
 from .config import PipelineConfig
 from .detect import CfarDetector, CfarParams, ClutterModel, detection_log_lr
-from .noise import VarModel, WhitenState, whiten
+from .noise import VarModel, whiten
 from .sim import Dataset
 from .stats import TModelParams, gauss_log_lr, t_log_lr
 from .tkbd import (ETA_DB, PSI, BernoulliBelief, FilterParams, LikelihoodField,
@@ -42,90 +46,6 @@ def spawn_rng(master_seed: int, *path: int) -> np.random.Generator:
     run indices, so any stream can be reproduced in isolation.
     """
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=path))
-
-
-class EnergyLikelihood:
-    """t or Gaussian likelihood on whitened batches.
-
-    Holds the whitening state and the beamforming grid; `prepare` consumes
-    the next raw batch and returns a measurement object (or None while the
-    whitener is still warming up, in which case the filter should only
-    predict).
-    """
-
-    def __init__(self, grid: BeamformGrid, model: VarModel, dof: float,
-                 gaussian: bool = False):
-        self.grid = grid
-        self.model = model
-        self.params = TModelParams(dof, grid.n_samples, grid.geom.n_channels)
-        self.gaussian = gaussian
-        self._wstate = WhitenState.fresh(model)
-
-    def prepare(self, batch: np.ndarray):
-        white, self._wstate, warmup = whiten(self.model, batch, self._wstate)
-        if warmup:
-            return None
-        return _EnergyMeasurement(self, self.grid.energies(white),
-                                  float((white * white).sum()))
-
-
-class _EnergyMeasurement:
-    """Beamformed energies of one whitened batch, queryable at any state."""
-
-    def __init__(self, parent: EnergyLikelihood, energies: np.ndarray, z2: float):
-        self.parent = parent
-        self.energies = energies
-        self.z_norm_sq = z2
-
-    def _energy_at(self, psi_deg):
-        return np.interp(psi_deg, self.parent.grid.bearings_deg, self.energies)
-
-    def loglr(self, psi_deg, eta_db):
-        b = self._energy_at(psi_deg)
-        eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
-        if self.parent.gaussian:
-            return gauss_log_lr(b, eta, self.parent.params)
-        return t_log_lr(b, self.z_norm_sq, eta, self.parent.params)
-
-    def particle_loglr(self, states: np.ndarray):
-        return self.loglr(states[:, PSI], states[:, ETA_DB])
-
-    def field(self, fparams: FilterParams) -> LikelihoodField:
-        eta_grid = np.arange(fparams.snr_lo_db, fparams.snr_hi_db + 1e-9,
-                             fparams.eta_step_db)
-        return LikelihoodField(self.parent.grid.bearings_deg, eta_grid, self.loglr)
-
-
-class DetectionLikelihood:
-    """CFAR front end feeding the detection-based likelihood ratio."""
-
-    def __init__(self, grid: BeamformGrid, cfar: CfarParams, clutter: ClutterModel):
-        self.grid = grid
-        self.clutter = clutter
-        self._detector = CfarDetector(cfar, grid.bearings_deg)
-
-    def prepare(self, batch: np.ndarray):
-        detections = self._detector.push(self.grid.energies(batch))
-        return _DetectionMeasurement(self, detections)
-
-
-class _DetectionMeasurement:
-    def __init__(self, parent: DetectionLikelihood, detections: np.ndarray):
-        self.parent = parent
-        self.detections = detections
-
-    def loglr(self, psi_deg, eta_db=None):
-        out = detection_log_lr(self.detections, psi_deg, self.parent.clutter)
-        return out if np.ndim(psi_deg) else float(out)
-
-    def particle_loglr(self, states: np.ndarray):
-        return self.loglr(states[:, PSI])
-
-    def field(self, fparams: FilterParams) -> LikelihoodField:
-        eta_grid = np.arange(fparams.snr_lo_db, fparams.snr_hi_db + 1e-9,
-                             fparams.eta_step_db)
-        return LikelihoodField(self.parent.grid.bearings_deg, eta_grid,
-                               lambda p, e: self.loglr(p))
 
 
 @dataclass
@@ -158,42 +78,96 @@ def filter_params_from_config(cfg: PipelineConfig) -> FilterParams:
     )
 
 
-def make_likelihood(variant: str, geom: ArrayGeometry, cfg: PipelineConfig,
-                    model: VarModel | None):
-    """Build the per-variant measurement front end."""
+def cfar_params_from_config(cfg: PipelineConfig) -> CfarParams:
+    return CfarParams(cfg.cfar_guard_cells, cfg.cfar_train_cells,
+                      cfg.cfar_train_rows, cfg.cfar_alpha)
+
+
+def beam_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Beamformed energies of every batch, whitened by `model` first if given.
+
+    The whole stream is whitened in one `whiten` call, which equals whitening
+    it batch by batch. Returns the (K, G) energies over `grid`, the (K,)
+    batch energies ||z||^2 and how many leading batches hold whitener
+    warm-up rows; their energies are returned but should not be scored.
+    """
+    n, k = dataset.n_per_batch, dataset.n_batches
+    data = dataset.samples[:k * n]
+    warmup = 0
+    if model is not None:
+        data, _, warmup_rows = whiten(model, data)
+        warmup = -(-warmup_rows // n)
+    energies = np.empty((k, grid.n_bearings))
+    z_norm_sq = np.empty(k)
+    for i in range(k):
+        batch = data[i * n:(i + 1) * n]
+        energies[i] = grid.energies(batch)
+        z_norm_sq[i] = (batch * batch).sum()
+    return energies, z_norm_sq, warmup
+
+
+def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
+                    model: VarModel | None) -> tuple[np.ndarray, list]:
+    """Grid bearings plus one `ln L(psi_deg, eta_db)` per batch of `dataset`.
+
+    The energy variants interpolate the batch's beamformed energies at
+    `psi_deg` and apply the t or Gaussian ratio; `cfar` scores the batch's
+    CFAR detections and ignores `eta_db`. A batch's entry is None while the
+    whitener is warming up, and the filter then only predicts.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    grid = BeamformGrid(geom, bearing_grid(cfg.grid_bearing_step_deg), cfg.batch_samples)
+    grid = BeamformGrid(dataset.geometry, bearing_grid(cfg.grid_bearing_step_deg),
+                        cfg.batch_samples)
+    bearings = grid.bearings_deg
     if variant == "cfar":
-        cfar = CfarParams(cfg.cfar_guard_cells, cfg.cfar_train_cells,
-                          cfg.cfar_train_rows, cfg.cfar_alpha)
+        detector = CfarDetector(cfar_params_from_config(cfg), bearings)
         clutter = ClutterModel(cfg.clutter_rate, cfg.clutter_prob_detect,
                                cfg.clutter_bearing_var)
-        return DetectionLikelihood(grid, cfar, clutter)
+        energies, _, _ = beam_energies(dataset, grid)
+
+        def detection_loglr(detections):
+            return lambda psi_deg, eta_db: detection_log_lr(detections, psi_deg, clutter)
+        return bearings, [detection_loglr(detector.push(row)) for row in energies]
     if model is None:
         raise ValueError(f"variant {variant!r} needs a noise model")
     if variant == "tvar0" and model.order != 0:
         raise ValueError("tvar0 expects an order-0 noise model")
-    return EnergyLikelihood(grid, model, cfg.tmodel_dof, gaussian=(variant == "gvar"))
+    params = TModelParams(cfg.tmodel_dof, grid.n_samples, grid.geom.n_channels)
+    gaussian = variant == "gvar"
+    energies, z_norm_sq, warmup = beam_energies(dataset, grid, model)
+
+    def energy_loglr(row, z2):
+        def loglr(psi_deg, eta_db):
+            b = np.interp(psi_deg, bearings, row)
+            eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
+            if gaussian:
+                return gauss_log_lr(b, eta, params)
+            return t_log_lr(b, z2, eta, params)
+        return loglr
+    return bearings, [None if k < warmup else energy_loglr(energies[k], float(z_norm_sq[k]))
+                      for k in range(energies.shape[0])]
 
 
 def run_tracker(dataset: Dataset, variant: str, cfg: PipelineConfig,
                 model: VarModel | None, rng: np.random.Generator) -> TrackLog:
     """Run one tracker variant over a dataset, batch by batch."""
     fparams = filter_params_from_config(cfg)
-    likelihood = make_likelihood(variant, dataset.geometry, cfg, model)
+    bearings, loglrs = make_likelihood(variant, dataset, cfg, model)
+    eta_grid = np.arange(fparams.snr_lo_db, fparams.snr_hi_db + 1e-9, fparams.eta_step_db)
     belief = BernoulliBelief.empty(fparams, rng)
     prev_field: LikelihoodField | None = None
     n = dataset.n_batches
     out = {key: np.empty(n) for key in
            ("exist_prob", "psi_deg", "psidot", "eta_db")}
     confirmed = np.zeros(n, dtype=bool)
-    for k, batch in dataset.batches():
+    for k, loglr in enumerate(loglrs):
         belief = predict(belief, fparams, prev_field, rng)
-        meas = likelihood.prepare(batch)
-        if meas is not None:
-            belief = update(belief, meas.particle_loglr, fparams, rng)
-            prev_field = meas.field(fparams)
+        if loglr is not None:
+            belief = update(belief, lambda states: loglr(states[:, PSI], states[:, ETA_DB]),
+                            fparams, rng)
+            prev_field = LikelihoodField(bearings, eta_grid, loglr)
         est = extract(belief, fparams)
         out["exist_prob"][k] = est.exist_prob
         out["psi_deg"][k] = est.state.psi_deg

@@ -257,6 +257,10 @@ def load_dataset(path) -> Dataset:
     if raw.size != n_rows * m:
         raise DatasetError(
             f"{root}: samples.f32 holds {raw.size} values, expected {n_rows * m}")
+    finite = np.isfinite(raw)
+    if not finite.all():
+        bad = int(np.argmin(finite)) // (m * meta["n_per_batch"])
+        raise DatasetError(f"{root / 'samples.f32'}: non-finite sample in batch {bad}")
     samples = raw.reshape(n_rows, m).astype(float)
     truth = None
     truth_path = root / "truth.csv"

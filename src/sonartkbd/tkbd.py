@@ -98,7 +98,7 @@ class LikelihoodField:
     """Log likelihood ratio gridded over (bearing, SNR) for birth proposals.
 
     `fn(psi_deg, eta_db)` must broadcast over arrays; the grid is evaluated
-    lazily and cached. `at` exposes the same callable for point queries.
+    lazily and cached.
     """
 
     def __init__(self, psi_grid: np.ndarray, eta_db_grid: np.ndarray, fn):
@@ -115,9 +115,6 @@ class LikelihoodField:
             self._grid = np.asarray(self._fn(pp.ravel(), ee.ravel()), dtype=float)\
                 .reshape(pp.shape)
         return self._grid
-
-    def at(self, psi_deg, eta_db):
-        return self._fn(psi_deg, eta_db)
 
 
 def reflect_bearing(psi_deg: np.ndarray) -> np.ndarray:
@@ -217,18 +214,25 @@ def effective_sample_size(weights: np.ndarray) -> float:
 
 
 def systematic_resample(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices of a systematic resample: one uniform draw, n even strides."""
+    """Indices of a systematic resample: one uniform draw, n even strides.
+
+    The last cumulative weight is pinned to 1, so a weight sum that rounds
+    short of 1 cannot send a stride past the last particle.
+    """
     positions = (rng.uniform() + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(weights), positions)
+    cumulative = np.cumsum(weights)
+    cumulative[-1] = 1.0
+    return np.searchsorted(cumulative, positions)
 
 
 def update(belief: BernoulliBelief, loglr_fn, params: FilterParams,
            rng: np.random.Generator) -> BernoulliBelief:
     """Bernoulli measurement update with a pluggable likelihood ratio.
 
-    `loglr_fn(states)` returns per-particle ln L. The particle-averaged
-    ratio I = sum_i w_i L_i updates q <- q I / (1 - q + q I) (computed in
-    log odds so saturation is well behaved) and reweights the cloud. If
+    `loglr_fn(states)` returns per-particle ln L; NaN or +inf there is a
+    ValueError, -inf marks a particle the measurement rules out. The
+    particle-averaged ratio I = sum_i w_i L_i updates q <- q I / (1 - q + q I)
+    (computed in log odds so saturation is well behaved) and reweights the cloud. If
     every ratio is zero while q > 0 the event is logged and q drops to 0
     with the cloud kept. The cloud is resampled to n_persist whenever it
     exceeds that size or its effective sample size falls under half of it.
@@ -236,6 +240,8 @@ def update(belief: BernoulliBelief, loglr_fn, params: FilterParams,
     loglr = np.asarray(loglr_fn(belief.states), dtype=float)
     if loglr.shape != (belief.states.shape[0],):
         raise ValueError("loglr_fn must return one value per particle")
+    if not (loglr < np.inf).all():  # false for NaN as well as +inf
+        raise ValueError("particle log likelihood ratios must not be NaN or +inf")
     q = belief.exist_prob
     peak = loglr.max()
     if np.isneginf(peak):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sonartkbd.array import (ArrayGeometry, BatchShapeError, BeamformGrid,
-                             GeometryError, SampleBatch, SteeringOperator,
-                             apply_steering, beamform, btr, delay_spectrum,
-                             make_steering, steering_delays)
+                             GeometryError, SteeringOperator, apply_steering,
+                             beamform, delay_spectrum, make_steering,
+                             steering_delays)
 
 
 def default_ula(m=8):
@@ -31,12 +31,6 @@ def test_geometry_rejects_bad_positions():
         ArrayGeometry(np.zeros((2, 2)), -1.0, 375.0)
     with pytest.raises(GeometryError):
         ArrayGeometry(np.zeros((2, 2)), 1500.0, 0.0)
-
-
-def test_sample_batch_needs_even_length():
-    with pytest.raises(BatchShapeError):
-        SampleBatch(np.zeros((63, 8)), 0)
-    SampleBatch(np.zeros((64, 8)), 0)
 
 
 def test_broadside_delays_are_zero():
@@ -160,25 +154,6 @@ def test_grid_matches_per_bearing_beamform():
     batch = np.random.default_rng(5).standard_normal((64, 8))
     explicit = [beamform(make_steering(geom, b, 64), batch) for b in bearings]
     np.testing.assert_allclose(grid.energies(batch), explicit, rtol=1e-10)
-
-
-def test_btr_shape_and_normalization():
-    geom = default_ula()
-    bearings = np.arange(-90.0, 91.0, 30.0)
-    rng = np.random.default_rng(9)
-    batches = [rng.standard_normal((64, 8)) for _ in range(3)]
-    rec = btr(batches, geom, bearings)
-    assert rec.shape == (3, bearings.size)
-    assert (rec >= 0).all()
-    normed = btr(batches, geom, bearings, normalize=True)
-    assert normed.max() == pytest.approx(1.0)
-
-
-def test_btr_all_zero_input_stays_zero():
-    geom = default_ula()
-    bearings = np.array([-30.0, 0.0, 30.0])
-    rec = btr([np.zeros((64, 8))], geom, bearings, normalize=True)
-    np.testing.assert_array_equal(rec, 0.0)
 
 
 def test_steering_operator_direct_construction():

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import sonartkbd
+from sonartkbd.array import ArrayGeometry
 from sonartkbd.cli import main
 from sonartkbd.config import (ConfigError, default_config, load_config,
                               save_config)
+from sonartkbd.sim import Dataset, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,60 @@ def test_btr_and_detect_smoke(workdir):
     assert rc == 0
     assert (workdir / "det.csv").read_text().splitlines()[0] == \
         "batch_index,bearing_deg"
+
+
+def test_btr_peak_is_exactly_one(workdir):
+    args = ["btr", "--config", str(workdir / "config.ini"), "--data", str(workdir / "ds")]
+    assert main(args + ["--out", str(workdir / "btr_norm.csv")]) == 0
+    assert main(args + ["--raw", "--out", str(workdir / "btr_raw.csv")]) == 0
+    normed = np.loadtxt(workdir / "btr_norm.csv", delimiter=",", skiprows=1)[:, 1:]
+    raw = np.loadtxt(workdir / "btr_raw.csv", delimiter=",", skiprows=1)[:, 1:]
+    assert normed.shape == raw.shape
+    assert normed.max() == 1.0
+    assert (normed >= 0).all()
+    np.testing.assert_allclose(normed, raw / raw.max(), rtol=1e-7)
+
+
+def test_btr_all_zero_record_stays_zero(tmp_path):
+    geom = ArrayGeometry.ula(8, 0.93, 1500.0, 375.0)
+    save_dataset(Dataset(geom, np.zeros((3 * 64, 8)), 64), tmp_path / "ds")
+    assert main(["btr", "--data", str(tmp_path / "ds"),
+                 "--out", str(tmp_path / "btr.csv")]) == 0
+    rows = np.loadtxt(tmp_path / "btr.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (3, 182)
+    np.testing.assert_array_equal(rows[:, 1:], 0.0)  # zero, not NaN
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_is_rejected(workdir, tmp_path, capsys, bad):
+    ds = tmp_path / "ds"
+    shutil.copytree(workdir / "ds", ds)
+    raw = np.fromfile(ds / "samples.f32", dtype="<f4")
+    raw[3 * 64 * 8 + 5] = bad  # batch 3: 64 samples of 8 channels per batch
+    raw.tofile(ds / "samples.f32")
+    assert main(["track", "--config", str(workdir / "config.ini"), "--data", str(ds),
+                 "--variant", "cfar", "--out", str(tmp_path / "t.csv")]) == 1
+    line = _one_error_line(capsys)
+    assert "samples.f32" in line and "batch 3" in line
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["track", "--variant", "cfar"], ["detect"]],
+                         ids=["track", "detect"])
+def test_cfar_window_wider_than_grid_is_rejected(workdir, tmp_path, capsys, command):
+    cfg = replace(load_config(workdir / "config.ini"), grid_bearing_step_deg=2.0)
+    save_config(cfg, tmp_path / "coarse.ini")
+    assert main([command[0], "--config", str(tmp_path / "coarse.ini"),
+                 "--data", str(workdir / "ds"), *command[1:],
+                 "--out", str(tmp_path / "out.csv")]) == 1
+    line = _one_error_line(capsys)
+    assert "171 cells" in line and "91-cell" in line
 
 
 def test_cfar_track_needs_no_model(workdir):

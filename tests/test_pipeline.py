@@ -1,0 +1,72 @@
+"""The measurement front end shared by the trackers and the CLI."""
+
+import math
+
+import numpy as np
+import pytest
+
+from sonartkbd.array import ArrayGeometry, BeamformGrid
+from sonartkbd.config import default_config
+from sonartkbd.noise import fit_var, whiten
+from sonartkbd.pipeline import beam_energies, make_likelihood
+from sonartkbd.sim import Dataset
+from sonartkbd.stats import TModelParams, t_log_lr
+
+
+def random_dataset(m, n, k, seed, extra_rows=0):
+    """K batches of N standard-normal samples on an M-element ULA."""
+    geom = ArrayGeometry.ula(m, 0.93, 1500.0, 375.0)
+    samples = np.random.default_rng(seed).standard_normal((k * n + extra_rows, m))
+    return Dataset(geom, samples, n)
+
+
+@pytest.mark.parametrize("order, n", [(None, 64), (0, 64), (14, 64), (14, 8), (5, 2)])
+def test_beam_energies_match_streaming_loop(order, n):
+    """One bulk whitening pass equals whitening and beamforming batch by batch."""
+    ds = random_dataset(4, n, 6, seed=n, extra_rows=3)
+    model = None
+    if order is not None:
+        model = fit_var(np.random.default_rng(1).standard_normal((3000, 4)), order)
+    grid = BeamformGrid(ds.geometry, np.arange(-90.0, 91.0, 10.0), n)
+    energies, z_norm_sq, warmup = beam_energies(ds, grid, model)
+
+    state, ref_energies, ref_z2, ref_warm = None, [], [], 0
+    for _, batch in ds.batches():
+        if model is not None:
+            batch, state, warm_rows = whiten(model, batch, state)
+            ref_warm += warm_rows > 0
+        ref_energies.append(grid.energies(batch))
+        ref_z2.append((batch * batch).sum())
+    np.testing.assert_array_equal(energies, np.array(ref_energies))
+    np.testing.assert_array_equal(z_norm_sq, ref_z2)
+    assert warmup == ref_warm == (math.ceil(order / n) if order else 0)
+
+
+def test_beam_energies_shape_and_sign():
+    ds = random_dataset(8, 64, 3, seed=9)
+    bearings = np.arange(-90.0, 91.0, 30.0)
+    energies, z_norm_sq, warmup = beam_energies(ds, BeamformGrid(ds.geometry, bearings, 64))
+    assert energies.shape == (3, bearings.size)
+    assert z_norm_sq.shape == (3,)
+    assert warmup == 0
+    assert (energies >= 0).all()
+
+
+def test_make_likelihood_one_ratio_per_batch():
+    cfg = default_config("sim")
+    ds = random_dataset(cfg.array_elements, cfg.batch_samples, 4, seed=3)
+    model = fit_var(np.random.default_rng(2).standard_normal((3000, cfg.array_elements)), 70)
+    bearings, loglrs = make_likelihood("tvar", ds, cfg, model)
+    assert len(loglrs) == 4
+    assert loglrs[:2] == [None, None]  # 70 warm-up rows span two 64-sample batches
+    energies, z_norm_sq, _ = beam_energies(
+        ds, BeamformGrid(ds.geometry, bearings, cfg.batch_samples), model)
+    params = TModelParams(cfg.tmodel_dof, cfg.batch_samples, cfg.array_elements)
+    eta_db = np.array([-8.0, -3.0])
+    np.testing.assert_array_equal(
+        loglrs[2](bearings[[10, 90]], eta_db),
+        t_log_lr(energies[2, [10, 90]], z_norm_sq[2], 10.0 ** (eta_db / 10.0), params))
+    _, cfar = make_likelihood("cfar", ds, cfg, None)
+    assert len(cfar) == 4 and all(fn is not None for fn in cfar)
+    # the detection ratio does not depend on the SNR argument
+    assert cfar[3](bearings, -8.0).tolist() == cfar[3](bearings, -3.0).tolist()

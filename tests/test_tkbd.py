@@ -91,6 +91,17 @@ def test_update_handles_vanishing_ratios():
     assert post.states.shape == belief.states.shape
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_update_rejects_nan_and_positive_inf(bad):
+    params = small_params()
+    rng = np.random.default_rng(8)
+    belief = BernoulliBelief(0.5, rng.uniform(-1, 1, size=(10, 3)), np.full(10, 0.1))
+    ratios = np.zeros(10)
+    ratios[3] = bad
+    with pytest.raises(ValueError, match=r"NaN or \+inf"):
+        update(belief, lambda s: ratios, params, rng)
+
+
 def test_update_saturated_existence_stays_saturated():
     params = small_params()
     belief = single_particle_belief(1.0)
@@ -128,6 +139,22 @@ def test_systematic_resample_counts():
     degenerate[2] = 1.0
     idx = systematic_resample(degenerate, 16, rng)
     assert (idx == 2).all()
+
+
+class _TopUniform:
+    """Generator stand-in whose single uniform draw is the largest below 1."""
+
+    def uniform(self):
+        return np.nextafter(1.0, 0.0)
+
+
+def test_systematic_resample_stays_in_range_when_weights_sum_short():
+    weights = np.full(10, 0.1)
+    assert np.cumsum(weights)[-1] < 1.0
+    idx = systematic_resample(weights, 10, _TopUniform())
+    assert idx.shape == (10,)
+    assert idx.max() == 9  # the stride at 0.99999... used to land on index 10
+    assert (np.diff(idx) >= 0).all()
 
 
 @settings(max_examples=50, deadline=None)
