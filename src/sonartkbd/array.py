@@ -15,7 +15,7 @@ spectrum, never as a dense matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,68 +107,49 @@ def delay_spectrum(tau: float, n_samples: int, sample_rate: float) -> np.ndarray
     return gamma
 
 
-@dataclass(frozen=True)
-class SteeringOperator:
-    """Frequency-domain steering for one bearing.
+def make_steering(geom: ArrayGeometry, bearing_deg: float, n_samples: int) -> np.ndarray:
+    """Per-channel steering spectra for one bearing, shape (M, N) complex.
 
-    `spectra[m]` is the DFT spectrum of the delay operator for channel m;
-    applying the operator to a source batch produces the per-channel
-    delayed copies, applying its transpose to received channels aligns
-    them back on element 0.
+    Row m is the DFT spectrum of the channel-m delay operator: applying it
+    to a source batch gives the delayed copy on that channel, applying its
+    conjugate to a received channel aligns it back on element 0.
     """
-
-    bearing_deg: float
-    sample_rate: float
-    spectra: np.ndarray  # (M, N) complex
-    delays: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def n_channels(self) -> int:
-        return self.spectra.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.spectra.shape[1]
-
-
-def make_steering(geom: ArrayGeometry, bearing_deg: float, n_samples: int) -> SteeringOperator:
-    """Build the per-channel steering spectra for one bearing."""
     taus = steering_delays(geom, bearing_deg)
-    spectra = np.vstack([delay_spectrum(t, n_samples, geom.sample_rate) for t in taus])
-    return SteeringOperator(float(bearing_deg), geom.sample_rate, spectra, taus)
+    return np.vstack([delay_spectrum(t, n_samples, geom.sample_rate) for t in taus])
 
 
-def apply_steering(op: SteeringOperator, source: np.ndarray) -> np.ndarray:
+def apply_steering(spectra: np.ndarray, source: np.ndarray) -> np.ndarray:
     """Propagate a single source batch onto all channels.
 
     Returns the (N, M) array whose column m is the source delayed by the
     channel-m steering delay. Used by the simulator; the beamformer goes
     the other way.
     """
+    n = spectra.shape[1]
     src = np.asarray(source, dtype=float)
-    if src.ndim != 1 or src.shape[0] != op.n_samples:
-        raise BatchShapeError(f"source must be length {op.n_samples}, got {src.shape}")
+    if src.ndim != 1 or src.shape[0] != n:
+        raise BatchShapeError(f"source must be length {n}, got {src.shape}")
     spec = np.fft.fft(src)
-    out = np.fft.ifft(op.spectra * spec, axis=1).real
+    out = np.fft.ifft(spectra * spec, axis=1).real
     return out.T.copy()
 
 
-def beamform(op: SteeringOperator, batch: np.ndarray) -> float:
-    """Delay-and-sum energy of `batch` steered to `op.bearing_deg`.
+def beamform(spectra: np.ndarray, batch: np.ndarray) -> float:
+    """Delay-and-sum energy of `batch` steered by `make_steering` spectra.
 
     Each channel is shifted by the negated steering delay (the transpose of
     the per-channel delay operator) and the aligned channels are summed;
     the result is the squared 2-norm of that sum. Computed in the DFT
     domain, where the sum's energy is ||S||^2 / N by Parseval.
     """
+    m, n = spectra.shape
     data = np.asarray(batch, dtype=float)
-    if data.ndim != 2 or data.shape != (op.n_samples, op.n_channels):
+    if data.shape != (n, m):
         raise BatchShapeError(
-            f"batch shape {data.shape} does not match operator "
-            f"({op.n_samples}, {op.n_channels})")
+            f"batch shape {data.shape} does not match operator ({n}, {m})")
     spec = np.fft.fft(data, axis=0)  # (N, M)
-    aligned = (op.spectra.conj().T * spec).sum(axis=1)
-    return float((aligned.real ** 2 + aligned.imag ** 2).sum() / op.n_samples)
+    aligned = (spectra.conj().T * spec).sum(axis=1)
+    return float((aligned.real ** 2 + aligned.imag ** 2).sum() / n)
 
 
 class BeamformGrid:
@@ -183,9 +164,9 @@ class BeamformGrid:
         self.geom = geom
         self.bearings_deg = np.asarray(bearings_deg, dtype=float)
         self.n_samples = int(n_samples)
-        ops = [make_steering(geom, b, n_samples) for b in self.bearings_deg]
         # (G, M, N), already conjugated for the receive direction
-        self._steer = np.stack([op.spectra.conj() for op in ops])
+        self._steer = np.stack([make_steering(geom, b, n_samples).conj()
+                                for b in self.bearings_deg])
 
     @property
     def n_bearings(self) -> int:

@@ -23,35 +23,28 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .array import ArrayGeometry, BeamformGrid
 from .config import ConfigError, default_config, load_config, save_config
-from .detect import CfarDetector
+from .detect import cfar_detections
 from .evaluate import OspaParams, aggregate_quantiles, make_run_report
 from .noise import fit_var, load_var, save_var, select_order
-from .pipeline import (VARIANTS, beam_energies, bearing_grid, cfar_params_from_config,
+from .pipeline import (VARIANTS, beam_energies, bearing_beamformer, cfar_params_from_config,
                        load_track_log, run_tracker, save_detections, save_track_log,
                        spawn_rng)
 from .sim import generate_dataset, load_dataset, save_dataset
-from .study import (SEED_SIMULATE, SEED_TRACK, calibrate_variant,
-                    scenario_from_config)
+from .study import (SEED_SIMULATE, SEED_TRACK, calibrate_variant, default_ambient_model,
+                    default_geometry, scenario_from_config)
 
 
 def _load_cfg(args):
     return load_config(args.config) if args.config else default_config(args.profile)
 
 
-def _geometry(cfg) -> ArrayGeometry:
-    return ArrayGeometry.ula(cfg.array_elements, cfg.array_spacing_m,
-                             cfg.array_speed_of_sound, cfg.array_sample_rate)
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
-    geom = _geometry(cfg)
+    geom = default_geometry(cfg)
     if args.ambient:
         ambient = load_var(args.ambient)
     else:
-        from .study import default_ambient_model
         ambient, _ = default_ambient_model(geom)
     scenario = scenario_from_config(cfg, geom, ambient)
     rng = spawn_rng(args.seed, SEED_SIMULATE, args.run_index)
@@ -163,7 +156,7 @@ def cmd_btr(args) -> int:
     cfg = _load_cfg(args)
     ds = load_dataset(args.data)
     model = load_var(args.model) if args.model else None
-    grid = BeamformGrid(ds.geometry, bearing_grid(cfg.grid_bearing_step_deg), ds.n_per_batch)
+    grid = bearing_beamformer(ds, cfg)
     rows, _, _ = beam_energies(ds, grid, model)
     peak = rows.max(initial=0.0)
     if not args.raw and peak > 0:
@@ -181,10 +174,10 @@ def cmd_detect(args) -> int:
     """Standalone CFAR pass, mostly for inspecting the detector."""
     cfg = _load_cfg(args)
     ds = load_dataset(args.data)
-    grid = BeamformGrid(ds.geometry, bearing_grid(cfg.grid_bearing_step_deg), ds.n_per_batch)
-    det = CfarDetector(cfar_params_from_config(cfg), grid.bearings_deg)
+    grid = bearing_beamformer(ds, cfg)
     energies, _, _ = beam_energies(ds, grid)
-    rows = [(k, float(bearing)) for k, row in enumerate(energies) for bearing in det.push(row)]
+    found = cfar_detections(energies, cfar_params_from_config(cfg), grid.bearings_deg)
+    rows = [(k, float(bearing)) for k, bearings in enumerate(found) for bearing in bearings]
     save_detections(rows, args.out)
     print(f"wrote {len(rows)} detections to {args.out}")
     return 0

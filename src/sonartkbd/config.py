@@ -2,6 +2,8 @@
 
 Configs are flat key/value INI files with sections. Unknown sections or
 keys are rejected so typos fail loudly, and `config_version` is checked.
+Trackers take the array and the batch length from the dataset they read,
+so `[array]` and `[batch]` only shape simulation.
 Two built-in profiles exist: "real" (deployment defaults) and "sim" (the
 synthetic-study defaults with a shorter expected track life, a higher
 birth probability and a milder tail). A file starts from its declared
@@ -14,7 +16,7 @@ import configparser
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -25,12 +27,11 @@ class ConfigError(ValueError):
 class PipelineConfig:
     """Every tunable of the pipeline in one flat record.
 
-    Field names are `<section>_<key>` for the INI mapping; see DEFAULTS
-    for the section layout.
+    Field names are `<section>_<key>` for the INI mapping; see `_SECTIONS`
+    for the section order.
     """
 
     meta_profile: str = "real"
-    meta_seed: int = 0
 
     array_elements: int = 8
     array_spacing_m: float = 0.93
@@ -38,11 +39,8 @@ class PipelineConfig:
     array_sample_rate: float = 375.0
 
     batch_samples: int = 64
-    batch_period_s: float = 0.17
 
     grid_bearing_step_deg: float = 1.0
-
-    var_order: int = 14
 
     tmodel_dof: float = 3.0
 
@@ -104,8 +102,8 @@ _SIM_PROFILE = {
     "scenario_end_range_m": 200.0,
 }
 
-_SECTIONS = ("meta", "array", "batch", "grid", "var", "tmodel", "filter",
-             "cfar", "clutter", "ospa", "scenario", "eval")
+_SECTIONS = ("meta", "array", "batch", "grid", "tmodel", "filter", "cfar",
+             "clutter", "ospa", "scenario", "eval")
 
 
 def default_config(profile: str = "real") -> PipelineConfig:
@@ -136,11 +134,13 @@ def load_config(path) -> PipelineConfig:
     version = parser.get("meta", "config_version", fallback=None)
     if version is None:
         raise ConfigError(f"{path}: missing meta.config_version")
-    if int(version) != CONFIG_VERSION:
+    if version != str(CONFIG_VERSION):
         raise ConfigError(f"{path}: unsupported config_version {version}")
 
-    profile = parser.get("meta", "profile", fallback="real")
-    cfg = default_config(profile)
+    try:
+        cfg = default_config(parser.get("meta", "profile", fallback="real"))
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from err
     fmap = _field_map()
     updates = {}
     for section in parser.sections():

@@ -10,7 +10,6 @@ their strongest member so one target contributes one detection.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,25 +132,25 @@ def _suppress_runs(row: np.ndarray, fired: np.ndarray) -> np.ndarray:
     return np.asarray(keep, dtype=int)
 
 
-class CfarDetector:
-    """Streaming wrapper that maintains the row history for `cfar_detect`."""
+def cfar_detections(energies: np.ndarray, params: CfarParams,
+                    bearings_deg: np.ndarray) -> list[np.ndarray]:
+    """Detected bearings of every row of a (K, G) bearing-time record.
 
-    def __init__(self, params: CfarParams, bearings_deg: np.ndarray):
-        self.params = params
-        self.bearings_deg = np.asarray(bearings_deg, dtype=float)
-        window = _window_kernel(params).size
-        if window > self.bearings_deg.size:
-            raise ValueError(
-                f"CFAR window of {window} cells (2*(guard+train)+1) is wider than "
-                f"the {self.bearings_deg.size}-cell bearing grid")
-        self._rows: deque = deque(maxlen=params.train_rows)
-
-    def push(self, row: np.ndarray) -> np.ndarray:
-        """Detect on one new row; returns detected bearings in degrees."""
-        history = np.array(self._rows) if self._rows else None
-        idx, _ = cfar_detect(row, history, self.params)
-        self._rows.append(np.asarray(row, dtype=float).copy())
-        return self.bearings_deg[idx]
+    Row k trains on itself and the up to `params.train_rows` rows before
+    it. Raises if the CFAR window (2 (guard + train) + 1 cells) is wider
+    than the bearing grid.
+    """
+    bearings_deg = np.asarray(bearings_deg, dtype=float)
+    window = _window_kernel(params).size
+    if window > bearings_deg.size:
+        raise ValueError(
+            f"CFAR window of {window} cells (2*(guard+train)+1) is wider than "
+            f"the {bearings_deg.size}-cell bearing grid")
+    out = []
+    for k, row in enumerate(energies):
+        idx, _ = cfar_detect(row, energies[max(0, k - params.train_rows):k], params)
+        out.append(bearings_deg[idx])
+    return out
 
 
 def detection_log_lr(detections: np.ndarray, bearing_deg, clutter: ClutterModel):

@@ -225,11 +225,6 @@ class NoiseStream:
         return out
 
 
-def simulate_var(model: VarModel, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Generate `n_samples` stationary samples from the model."""
-    return NoiseStream(model, rng).take(n_samples)
-
-
 def save_var(model: VarModel, path) -> None:
     """Write the model to `path`.
 

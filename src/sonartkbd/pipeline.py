@@ -9,10 +9,10 @@ batch becomes a likelihood ratio:
     cfar   detection-based ratio from a CFAR front end on the raw record
 
 `beam_energies` whitens a dataset's whole stream once and beamforms every
-batch; `sonartkbd btr` and `sonartkbd detect` read the same energies.
-`make_likelihood` turns them into one ln L(psi, eta) per batch for a
-variant, and `run_tracker` drives the filter over those and returns a
-TrackLog.
+batch over the `bearing_beamformer` grid; `sonartkbd btr` and `sonartkbd
+detect` read the same energies. `make_likelihood` turns them into one
+ln L(psi, eta) per batch, and `run_tracker` drives the filter over those.
+The array, batch length N and period N / fs come from the dataset.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .array import BeamformGrid
 from .config import PipelineConfig
-from .detect import CfarDetector, CfarParams, ClutterModel, detection_log_lr
+from .detect import CfarParams, ClutterModel, cfar_detections, detection_log_lr
 from .noise import VarModel, whiten
 from .sim import Dataset
 from .stats import TModelParams, gauss_log_lr, t_log_lr
@@ -32,10 +32,6 @@ from .tkbd import (ETA_DB, PSI, BernoulliBelief, FilterParams, LikelihoodField,
                    extract, predict, update)
 
 VARIANTS = ("tvar", "tvar0", "gvar", "cfar")
-
-
-def bearing_grid(step_deg: float = 1.0) -> np.ndarray:
-    return np.arange(-90.0, 90.0 + 0.5 * step_deg, step_deg)
 
 
 def spawn_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -61,11 +57,11 @@ class TrackLog:
     confirmed: np.ndarray
 
 
-def filter_params_from_config(cfg: PipelineConfig) -> FilterParams:
+def filter_params_from_config(cfg: PipelineConfig, batch_period: float) -> FilterParams:
     return FilterParams(
         prob_survival=cfg.filter_prob_survival,
         prob_birth=cfg.filter_prob_birth,
-        batch_period=cfg.batch_period_s,
+        batch_period=batch_period,
         q_cv=cfg.filter_q_cv,
         q_dbsnr=cfg.filter_q_dbsnr,
         p_psidot=cfg.filter_p_psidot,
@@ -81,6 +77,13 @@ def filter_params_from_config(cfg: PipelineConfig) -> FilterParams:
 def cfar_params_from_config(cfg: PipelineConfig) -> CfarParams:
     return CfarParams(cfg.cfar_guard_cells, cfg.cfar_train_cells,
                       cfg.cfar_train_rows, cfg.cfar_alpha)
+
+
+def bearing_beamformer(dataset: Dataset, cfg: PipelineConfig) -> BeamformGrid:
+    """Beamformer for the dataset's array and batch length, -90..90 deg by the grid step."""
+    step = cfg.grid_bearing_step_deg
+    return BeamformGrid(dataset.geometry, np.arange(-90.0, 90.0 + 0.5 * step, step),
+                        dataset.n_per_batch)
 
 
 def beam_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None = None
@@ -118,23 +121,22 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    grid = BeamformGrid(dataset.geometry, bearing_grid(cfg.grid_bearing_step_deg),
-                        cfg.batch_samples)
+    grid = bearing_beamformer(dataset, cfg)
     bearings = grid.bearings_deg
     if variant == "cfar":
-        detector = CfarDetector(cfar_params_from_config(cfg), bearings)
         clutter = ClutterModel(cfg.clutter_rate, cfg.clutter_prob_detect,
                                cfg.clutter_bearing_var)
         energies, _, _ = beam_energies(dataset, grid)
+        detections = cfar_detections(energies, cfar_params_from_config(cfg), bearings)
 
-        def detection_loglr(detections):
-            return lambda psi_deg, eta_db: detection_log_lr(detections, psi_deg, clutter)
-        return bearings, [detection_loglr(detector.push(row)) for row in energies]
+        def detection_loglr(found):
+            return lambda psi_deg, eta_db: detection_log_lr(found, psi_deg, clutter)
+        return bearings, [detection_loglr(found) for found in detections]
     if model is None:
         raise ValueError(f"variant {variant!r} needs a noise model")
     if variant == "tvar0" and model.order != 0:
         raise ValueError("tvar0 expects an order-0 noise model")
-    params = TModelParams(cfg.tmodel_dof, grid.n_samples, grid.geom.n_channels)
+    params = TModelParams(cfg.tmodel_dof, dataset.n_per_batch, dataset.geometry.n_channels)
     gaussian = variant == "gvar"
     energies, z_norm_sq, warmup = beam_energies(dataset, grid, model)
 
@@ -153,7 +155,8 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
 def run_tracker(dataset: Dataset, variant: str, cfg: PipelineConfig,
                 model: VarModel | None, rng: np.random.Generator) -> TrackLog:
     """Run one tracker variant over a dataset, batch by batch."""
-    fparams = filter_params_from_config(cfg)
+    period = dataset.n_per_batch / dataset.geometry.sample_rate
+    fparams = filter_params_from_config(cfg, period)
     bearings, loglrs = make_likelihood(variant, dataset, cfg, model)
     eta_grid = np.arange(fparams.snr_lo_db, fparams.snr_hi_db + 1e-9, fparams.eta_step_db)
     belief = BernoulliBelief.empty(fparams, rng)
@@ -174,7 +177,6 @@ def run_tracker(dataset: Dataset, variant: str, cfg: PipelineConfig,
         out["psidot"][k] = est.state.psidot
         out["eta_db"][k] = est.state.eta_db
         confirmed[k] = est.confirmed
-    period = dataset.n_per_batch / dataset.geometry.sample_rate
     idx = np.arange(n)
     return TrackLog(idx, (idx + 0.5) * period, out["exist_prob"], out["psi_deg"],
                     out["psidot"], out["eta_db"], confirmed)

@@ -177,14 +177,6 @@ class Dataset:
     def n_batches(self) -> int:
         return self.samples.shape[0] // self.n_per_batch
 
-    def batch(self, k: int) -> np.ndarray:
-        n = self.n_per_batch
-        return self.samples[k * n:(k + 1) * n]
-
-    def batches(self):
-        for k in range(self.n_batches):
-            yield k, self.batch(k)
-
 
 def generate_dataset(scenario: Scenario, rng: np.random.Generator,
                      target_free: bool = False, seed: int | None = None) -> Dataset:
@@ -237,6 +229,21 @@ def save_dataset(ds: Dataset, path) -> None:
                    comments="", fmt=["%d", "%.8f", "%.8f", "%.8f"])
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# meta.json keys a dataset cannot be read without: key -> (test, requirement)
+_META_KEYS = {
+    "positions": (lambda v: isinstance(v, list), "a list of (x, y) pairs"),
+    "speed_of_sound": (_is_number, "a number"),
+    "sample_rate": (_is_number, "a number"),
+    "n_per_batch": (lambda v: _is_number(v, int) and v > 0 and v % 2 == 0,
+                    "a positive even integer"),
+    "n_batches": (lambda v: _is_number(v, int) and v >= 0, "a non-negative integer"),
+}
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset directory back; inverse of :func:`save_dataset`."""
     root = Path(path)
@@ -247,10 +254,20 @@ def load_dataset(path) -> Dataset:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as err:
         raise DatasetError(f"{meta_path}: invalid JSON ({err})") from err
-    if meta.get("format_version") != 1:
-        raise DatasetError(f"{root}: unsupported dataset format {meta.get('format_version')}")
-    geom = ArrayGeometry(np.asarray(meta["positions"], dtype=float),
-                         meta["speed_of_sound"], meta["sample_rate"])
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if version != 1:
+        raise DatasetError(f"{root}: unsupported dataset format {version!r:.40}")
+    for key, (valid, requirement) in _META_KEYS.items():
+        if key not in meta:
+            raise DatasetError(f"{meta_path}: missing key {key!r}")
+        if not valid(meta[key]):
+            raise DatasetError(f"{meta_path}: {key} must be {requirement}, "
+                               f"got {meta[key]!r:.40}")
+    try:
+        geom = ArrayGeometry(np.asarray(meta["positions"], dtype=float),
+                             meta["speed_of_sound"], meta["sample_rate"])
+    except (ValueError, TypeError) as err:
+        raise DatasetError(f"{meta_path}: {err}") from err
     raw = np.fromfile(root / "samples.f32", dtype="<f4")
     m = geom.n_channels
     n_rows = meta["n_batches"] * meta["n_per_batch"]

@@ -17,19 +17,24 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .array import ArrayGeometry, apply_steering, make_steering
-from .config import PipelineConfig, default_config
+from .config import PipelineConfig
 from .evaluate import OspaParams, RunReport, make_run_report, median_detection_eta
 from .noise import NoiseStream, VarModel, fit_var
-from .pipeline import TrackLog, run_tracker, spawn_rng
+from .pipeline import VARIANTS, TrackLog, run_tracker, spawn_rng
 from .sim import (Dataset, Scenario, channel_noise_power, generate_batch,
                   generate_dataset)
 
 # component keys for the documented seed-splitting scheme
 SEED_SIMULATE, SEED_TRACK, SEED_CALIBRATE, SEED_AMBIENT = 0, 1, 2, 3
 
+VAR_ORDER = 14  # of the generator model and of the trackers' models
+AMBIENT_SEED = 101  # one synthetic sea recording shared by every study
+AMBIENT_SECONDS = 60.0
+OBSERVED_SECONDS = 120.0  # noise-only recording the trackers' models are fit to
+MAX_CALIBRATION_STEPS = 10  # sweep steps past the configured setting
 
-def default_geometry(cfg: PipelineConfig | None = None) -> ArrayGeometry:
-    cfg = cfg or default_config("sim")
+
+def default_geometry(cfg: PipelineConfig) -> ArrayGeometry:
     return ArrayGeometry.ula(cfg.array_elements, cfg.array_spacing_m,
                              cfg.array_speed_of_sound, cfg.array_sample_rate)
 
@@ -60,16 +65,15 @@ def synth_sea_recording(geom: ArrayGeometry, duration_s: float,
     return out
 
 
-def default_ambient_model(geom: ArrayGeometry, order: int = 14, seed: int = 101,
-                          duration_s: float = 60.0) -> tuple[VarModel, VarModel]:
+def default_ambient_model(geom: ArrayGeometry) -> tuple[VarModel, VarModel]:
     """Fit the generation/whitening model and its order-0 (spatial) sibling.
 
     Both are least-squares fits to the same synthetic recording, mirroring
-    a calibration pass on a noise-only recording. Deterministic in `seed`.
+    a calibration pass on a noise-only recording. Deterministic.
     """
-    rng = spawn_rng(seed, SEED_AMBIENT)
-    rec = synth_sea_recording(geom, duration_s, rng)
-    model = fit_var(rec, order)
+    rng = spawn_rng(AMBIENT_SEED, SEED_AMBIENT)
+    rec = synth_sea_recording(geom, AMBIENT_SECONDS, rng)
+    model = fit_var(rec, VAR_ORDER)
     model0 = fit_var(rec, 0)
     if model.spectral_radius() >= 1.0:
         raise RuntimeError("fitted ambient model is unstable; change the recording")
@@ -99,9 +103,7 @@ def scenario_from_config(cfg: PipelineConfig, geom: ArrayGeometry,
     )
 
 
-def fit_observed_models(scenario: Scenario, master_seed: int,
-                        duration_s: float = 120.0,
-                        order: int = 14) -> tuple[VarModel, VarModel]:
+def fit_observed_models(scenario: Scenario, master_seed: int) -> tuple[VarModel, VarModel]:
     """Fit the tracking models to an observed noise-only recording.
 
     The simulator rescales every batch by a fresh heavy-tail draw, so a
@@ -113,12 +115,12 @@ def fit_observed_models(scenario: Scenario, master_seed: int,
     rng = spawn_rng(master_seed, SEED_AMBIENT)
     noise = NoiseStream(scenario.ambient, rng)
     power = channel_noise_power(scenario.ambient)
-    n_batches = max(1, int(round(duration_s / scenario.batch_period)))
+    n_batches = max(1, int(round(OBSERVED_SECONDS / scenario.batch_period)))
     rec = np.concatenate([
         generate_batch(scenario, 0.0, None, noise, rng, power)
         for _ in range(n_batches)
     ], axis=0)
-    model = fit_var(rec, order)
+    model = fit_var(rec, VAR_ORDER)
     model0 = fit_var(rec, 0)
     return model, model0
 
@@ -147,7 +149,7 @@ def _one_run(args) -> list[StudyRun]:
     dataset = generate_dataset(scenario, sim_rng, target_free=target_free)
     out = []
     for variant, cfg in cfgs.items():
-        rng = spawn_rng(master_seed, SEED_TRACK, run_idx, _variant_key(variant))
+        rng = spawn_rng(master_seed, SEED_TRACK, run_idx, VARIANTS.index(variant))
         track = run_tracker(dataset, variant, cfg,
                             models_for_variant(variant, model, model0), rng)
         report = make_run_report(
@@ -156,11 +158,6 @@ def _one_run(args) -> list[StudyRun]:
             min_run=cfg.eval_min_confirm_run)
         out.append(StudyRun(run_idx, variant, track, report))
     return out
-
-
-def _variant_key(variant: str) -> int:
-    from .pipeline import VARIANTS
-    return VARIANTS.index(variant)
 
 
 def run_study(cfgs: dict[str, PipelineConfig], geom: ArrayGeometry, ambient: VarModel,
@@ -215,7 +212,7 @@ def _false_tracks_on(datasets: list[Dataset], variant: str, cfg: PipelineConfig,
                      step: int) -> int:
     count = 0
     for i, ds in enumerate(datasets):
-        rng = spawn_rng(master_seed, SEED_CALIBRATE, i, step, _variant_key(variant))
+        rng = spawn_rng(master_seed, SEED_CALIBRATE, i, step, VARIANTS.index(variant))
         track = run_tracker(ds, variant, cfg,
                             models_for_variant(variant, model, model0), rng)
         report = make_run_report(track.psi_deg, track.exist_prob, track.confirmed,
@@ -239,8 +236,7 @@ def _calibration_candidate(variant: str, cfg: PipelineConfig,
 
 def calibrate_variant(variant: str, cfg: PipelineConfig, datasets: list[Dataset],
                       model: VarModel, model0: VarModel, master_seed: int,
-                      step_db: float = 2.0, margin_steps: int = 1,
-                      max_steps: int = 10) -> CalibrationResult:
+                      step_db: float = 2.0, margin_steps: int = 1) -> CalibrationResult:
     """Back sensitivity off until target-free runs stay clean.
 
     Starting at the configured setting, each step desensitises by
@@ -252,11 +248,11 @@ def calibrate_variant(variant: str, cfg: PipelineConfig, datasets: list[Dataset]
     rate lambda (each detection argues less). The first setting with zero
     sustained confirmations wins, plus `margin_steps` extra steps of
     slack against sampling error in the sweep datasets. Raises if no
-    candidate within `max_steps` is clean.
+    candidate within `MAX_CALIBRATION_STEPS` is clean.
     """
     trace: list[tuple[float, int]] = []
     clean_step: int | None = None
-    for step in range(max_steps + 1):
+    for step in range(MAX_CALIBRATION_STEPS + 1):
         setting, candidate = _calibration_candidate(variant, cfg, step_db * step)
         false_tracks = _false_tracks_on(datasets, variant, candidate, model, model0,
                                         master_seed, step)
@@ -266,7 +262,8 @@ def calibrate_variant(variant: str, cfg: PipelineConfig, datasets: list[Dataset]
             break
     if clean_step is None:
         raise RuntimeError(
-            f"{variant}: no clean setting within {max_steps} steps, trace {trace}")
+            f"{variant}: no clean setting within {MAX_CALIBRATION_STEPS} steps, "
+            f"trace {trace}")
     setting, candidate = _calibration_candidate(
         variant, cfg, step_db * (clean_step + margin_steps))
     return CalibrationResult(candidate, setting, trace)

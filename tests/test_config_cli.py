@@ -1,11 +1,13 @@
 """Config schema strictness plus an end-to-end CLI pass in a temp dir."""
 
+import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,8 @@ import pytest
 import sonartkbd
 from sonartkbd.array import ArrayGeometry
 from sonartkbd.cli import main
-from sonartkbd.config import (ConfigError, default_config, load_config,
-                              save_config)
+from sonartkbd.config import (CONFIG_VERSION, ConfigError, PipelineConfig,
+                              default_config, load_config, save_config)
 from sonartkbd.sim import Dataset, save_dataset
 
 
@@ -54,7 +56,7 @@ def test_profiles_differ_where_documented():
 
 def test_config_round_trip_exact(tmp_path):
     cfg = replace(default_config("sim"), filter_prob_birth=3.25e-9,
-                  scenario_duration_s=123.456, meta_seed=77)
+                  scenario_duration_s=123.456)
     save_config(cfg, tmp_path / "c.ini")
     assert load_config(tmp_path / "c.ini") == cfg
 
@@ -80,13 +82,23 @@ def test_config_rejects_unknown_key(tmp_path):
 def test_config_rejects_missing_or_wrong_version(tmp_path):
     save_config(default_config("sim"), tmp_path / "c.ini")
     text = (tmp_path / "c.ini").read_text()
-    (tmp_path / "c.ini").write_text(text.replace("config_version = 1",
-                                                 "config_version = 99"))
+    current = f"config_version = {CONFIG_VERSION}"
+    assert current in text
+    (tmp_path / "c.ini").write_text(text.replace(current, "config_version = 99"))
     with pytest.raises(ConfigError, match="unsupported config_version"):
         load_config(tmp_path / "c.ini")
     (tmp_path / "c.ini").write_text("[meta]\nprofile = sim\n")
     with pytest.raises(ConfigError, match="config_version"):
         load_config(tmp_path / "c.ini")
+
+
+def test_every_config_field_is_read():
+    """A config value nothing reads is a setting that silently does nothing."""
+    src = Path(sonartkbd.__file__).resolve().parent
+    code = "\n".join(p.read_text() for p in src.glob("*.py"))
+    unread = [f.name for f in fields(PipelineConfig)
+              if not re.search(rf"\.{f.name}\b", code)]
+    assert unread == []
 
 
 def test_config_rejects_unparseable_value(tmp_path):
@@ -201,6 +213,59 @@ def test_cfar_window_wider_than_grid_is_rejected(workdir, tmp_path, capsys, comm
                  "--out", str(tmp_path / "out.csv")]) == 1
     line = _one_error_line(capsys)
     assert "171 cells" in line and "91-cell" in line
+
+
+def test_track_takes_the_batch_layout_from_the_dataset(workdir, tmp_path):
+    """A config whose simulation batch length disagrees with the data changes nothing."""
+    other = replace(load_config(workdir / "config.ini"), batch_samples=32)
+    save_config(other, tmp_path / "other.ini")
+    logs = []
+    for config in (workdir / "config.ini", tmp_path / "other.ini"):
+        logs.append(tmp_path / f"{config.stem}.csv")
+        assert main(["track", "--config", str(config), "--data", str(workdir / "ds"),
+                     "--variant", "tvar", "--model", str(workdir / "model.var"),
+                     "--seed", "5", "--out", str(logs[-1])]) == 0
+    assert logs[0].read_bytes() == logs[1].read_bytes()
+
+
+def _edit_meta(meta, **changes):
+    meta = {**meta, **changes}
+    return {k: v for k, v in meta.items() if v is not None}
+
+
+@pytest.mark.parametrize("file, edit, expect", [
+    ("meta.json", lambda m: _edit_meta(m, positions=None), "'positions'"),
+    ("meta.json", lambda m: _edit_meta(m, n_batches=None), "'n_batches'"),
+    ("meta.json", lambda m: _edit_meta(m, n_batches="x"),
+     "n_batches must be a non-negative integer"),
+    ("meta.json", lambda m: _edit_meta(m, n_per_batch=63),
+     "n_per_batch must be a positive even integer"),
+    ("meta.json", lambda m: _edit_meta(m, sample_rate="fast"), "sample_rate must be a number"),
+    ("meta.json", lambda m: _edit_meta(m, positions=[[0.0, 0.0, 1.0]]), "positions"),
+    ("c.ini", lambda t: t.replace(f"config_version = {CONFIG_VERSION}", "config_version = abc"),
+     "unsupported config_version abc"),
+    ("c.ini", lambda t: t.replace(f"config_version = {CONFIG_VERSION}", "config_version = 1"),
+     "unsupported config_version 1"),
+    ("c.ini", lambda t: t.replace("profile = sim", "profile = marine"), "unknown profile"),
+], ids=["no-positions", "no-n_batches", "n_batches-string", "odd-n_per_batch",
+        "sample_rate-string", "positions-shape", "version-abc", "version-1", "profile"])
+def test_bad_metadata_or_config_header_fails_with_one_line(workdir, tmp_path, capsys,
+                                                           file, edit, expect):
+    ds = tmp_path / "ds"
+    shutil.copytree(workdir / "ds", ds)
+    shutil.copy(workdir / "config.ini", tmp_path / "c.ini")
+    if file == "meta.json":
+        meta = json.loads((ds / file).read_text())
+        (ds / file).write_text(json.dumps(edit(meta)))
+        path = ds / file
+    else:
+        path = tmp_path / file
+        path.write_text(edit(path.read_text()))
+    assert main(["detect", "--config", str(tmp_path / "c.ini"), "--data", str(ds),
+                 "--out", str(tmp_path / "det.csv")]) == 1
+    line = _one_error_line(capsys)
+    assert str(path) in line and expect in line
+    assert len(line) < 200
 
 
 def test_cfar_track_needs_no_model(workdir):

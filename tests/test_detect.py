@@ -1,12 +1,14 @@
 """CA-CFAR detection and the detection-sequence likelihood ratio."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonartkbd.detect import (CfarDetector, CfarParams, ClutterModel,
-                              _window_kernel, cfar_detect, detection_log_lr)
+from sonartkbd.detect import (CfarParams, ClutterModel, _window_kernel,
+                              cfar_detect, cfar_detections, detection_log_lr)
 
 
 def test_param_validation():
@@ -80,12 +82,10 @@ def test_false_alarm_rate_is_controlled():
     """On iid Gaussian rows the empirical rate stays near alpha."""
     rng = np.random.default_rng(2)
     params = CfarParams(guard_cells=2, train_cells=16, train_rows=10, alpha=1e-2)
-    det = CfarDetector(params, np.arange(181.0))
-    fired = 0
     n_rows = 400
-    for _ in range(n_rows):
-        fired += det.push(rng.normal(0.0, 1.0, size=181)).size
-    rate = fired / (n_rows * 181)
+    found = cfar_detections(rng.normal(0.0, 1.0, size=(n_rows, 181)), params,
+                            np.arange(181.0))
+    rate = sum(f.size for f in found) / (n_rows * 181)
     # local-max suppression and estimated std keep it loosely near alpha
     assert 0.0 < rate < 3e-2
 
@@ -93,26 +93,44 @@ def test_false_alarm_rate_is_controlled():
 def test_detector_streams_bearings():
     params = CfarParams(guard_cells=1, train_cells=4, train_rows=2, alpha=1e-3)
     bearings = np.linspace(-90.0, 90.0, 41)
-    det = CfarDetector(params, bearings)
-    rng = np.random.default_rng(3)
-    for _ in range(2):
-        det.push(rng.normal(5.0, 0.3, size=41))
-    row = rng.normal(5.0, 0.3, size=41)
-    row[20] = 30.0
-    out = det.push(row)
-    assert out.tolist() == [bearings[20]]
+    energies = np.random.default_rng(3).normal(5.0, 0.3, size=(3, 41))
+    energies[2, 20] = 30.0
+    found = cfar_detections(energies, params, bearings)
+    assert len(found) == 3
+    assert found[2].tolist() == [bearings[20]]
 
 
 def test_train_rows_zero_uses_current_row_only():
     params = CfarParams(guard_cells=2, train_cells=8, train_rows=0, alpha=1e-3)
-    det = CfarDetector(params, np.arange(60.0))
     rng = np.random.default_rng(4)
     # a globally hot row should not fire when its shape is flat
     hot = rng.normal(100.0, 1.0, size=60)
-    assert det.push(hot).size == 0
     spiky = rng.normal(10.0, 1.0, size=60)
     spiky[30] = 60.0
-    assert det.push(spiky).tolist() == [30.0]
+    found = cfar_detections(np.vstack([hot, spiky]), params, np.arange(60.0))
+    assert found[0].size == 0
+    assert found[1].tolist() == [30.0]
+
+
+@pytest.mark.parametrize("train_rows", [0, 1, 3])
+def test_cfar_detections_train_on_the_rows_before(train_rows):
+    """Equal to a streaming detector that keeps the last `train_rows` rows."""
+    params = CfarParams(guard_cells=1, train_cells=3, train_rows=train_rows, alpha=0.05)
+    energies = np.random.default_rng(5).gamma(2.0, 1.0, size=(12, 30))
+    bearings = np.linspace(-90.0, 90.0, 30)
+    found = cfar_detections(energies, params, bearings)
+    window = deque(maxlen=train_rows)
+    for k, row in enumerate(energies):
+        idx, _ = cfar_detect(row, np.array(window) if window else None, params)
+        window.append(row)
+        np.testing.assert_array_equal(found[k], bearings[idx])
+
+
+def test_window_wider_than_grid_is_rejected():
+    params = CfarParams(guard_cells=2, train_cells=4, train_rows=0)  # 13 cells
+    assert len(cfar_detections(np.ones((2, 13)), params, np.arange(13.0))) == 2
+    with pytest.raises(ValueError, match="13 cells .* 12-cell"):
+        cfar_detections(np.ones((2, 12)), params, np.arange(12.0))
 
 
 def test_detection_log_lr_frozen_values():

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from sonartkbd.noise import (FitError, InstabilityError, ModelFileError,
                              NoiseStream, VarModel, WhitenState, fit_var,
-                             load_var, save_var, select_order, simulate_var,
-                             whiten)
+                             load_var, save_var, select_order, whiten)
 
 
 def known_var2():
@@ -48,7 +47,7 @@ def test_spectral_radius_and_stationary_cov():
     s = model.stationary_cov()
     # stationarity: S solves the companion-form Lyapunov equation, so the
     # lag-0 covariance of a long simulation should approach it
-    sim = simulate_var(model, 200_000, np.random.default_rng(1))
+    sim = NoiseStream(model, np.random.default_rng(1)).take(200_000)
     emp = np.cov(sim.T)
     np.testing.assert_allclose(emp, s, rtol=0.08, atol=0.02)
 
@@ -63,7 +62,7 @@ def test_unstable_model_has_no_stationary_cov():
 
 def test_fit_recovers_known_coefficients():
     model = known_var2()
-    data = simulate_var(model, 100_000, np.random.default_rng(2))
+    data = NoiseStream(model, np.random.default_rng(2)).take(100_000)
     fit = fit_var(data, 2)
     assert np.abs(fit.coeffs - model.coeffs).max() < 0.05
     assert np.abs(fit.noise_cov - model.noise_cov).max() < 0.05
@@ -90,7 +89,7 @@ def test_whitening_recovers_exact_innovations():
 
 def test_whitened_noise_is_white():
     model = known_var2()
-    data = simulate_var(model, 100_000, np.random.default_rng(4))
+    data = NoiseStream(model, np.random.default_rng(4)).take(100_000)
     white, _, warmup = whiten(model, data)
     w = white[warmup:]
     lag0 = w.T @ w / w.shape[0]
@@ -104,7 +103,7 @@ def test_whitened_noise_is_white():
 def test_chunked_whitening_matches_whole(cuts):
     """Whitening in any chunking, empty chunks included, equals one call."""
     model = known_var2()
-    data = simulate_var(model, 1000, np.random.default_rng(5))
+    data = NoiseStream(model, np.random.default_rng(5)).take(1000)
     whole, _, _ = whiten(model, data)
     state = None
     parts = []
@@ -138,7 +137,7 @@ def test_order_zero_whitening_is_spatial_only():
 
 def test_select_order_finds_truth():
     model = known_var2()
-    data = simulate_var(model, 20_000, np.random.default_rng(7))
+    data = NoiseStream(model, np.random.default_rng(7)).take(20_000)
     order, aic = select_order(data, 5)
     assert order == 2
     assert aic.shape == (6,)

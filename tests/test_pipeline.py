@@ -1,6 +1,7 @@
 """The measurement front end shared by the trackers and the CLI."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from sonartkbd.array import ArrayGeometry, BeamformGrid
 from sonartkbd.config import default_config
 from sonartkbd.noise import fit_var, whiten
-from sonartkbd.pipeline import beam_energies, make_likelihood
+from sonartkbd.pipeline import beam_energies, bearing_beamformer, make_likelihood
 from sonartkbd.sim import Dataset
 from sonartkbd.stats import TModelParams, t_log_lr
 
@@ -31,7 +32,8 @@ def test_beam_energies_match_streaming_loop(order, n):
     energies, z_norm_sq, warmup = beam_energies(ds, grid, model)
 
     state, ref_energies, ref_z2, ref_warm = None, [], [], 0
-    for _, batch in ds.batches():
+    for k in range(ds.n_batches):
+        batch = ds.samples[k * n:(k + 1) * n]
         if model is not None:
             batch, state, warm_rows = whiten(model, batch, state)
             ref_warm += warm_rows > 0
@@ -50,6 +52,16 @@ def test_beam_energies_shape_and_sign():
     assert z_norm_sq.shape == (3,)
     assert warmup == 0
     assert (energies >= 0).all()
+
+
+def test_bearing_beamformer_follows_the_dataset():
+    """The grid takes the array and batch length from the data, not the config."""
+    cfg = replace(default_config("sim"), batch_samples=32, array_elements=3,
+                  grid_bearing_step_deg=2.0)
+    ds = random_dataset(8, 16, 2, seed=4)
+    grid = bearing_beamformer(ds, cfg)
+    assert grid.geom is ds.geometry and grid.n_samples == 16
+    np.testing.assert_array_equal(grid.bearings_deg, np.arange(-90.0, 91.0, 2.0))
 
 
 def test_make_likelihood_one_ratio_per_batch():

@@ -150,17 +150,6 @@ def test_dataset_round_trip(tmp_path):
     np.testing.assert_array_equal(back.geometry.positions, ds.geometry.positions)
 
 
-def test_dataset_batch_views():
-    sc = straight_scenario(duration=10.0)
-    ds = generate_dataset(sc, np.random.default_rng(3))
-    ks = []
-    for k, batch in ds.batches():
-        assert batch.shape == (sc.n_per_batch, sc.geometry.n_channels)
-        np.testing.assert_array_equal(batch, ds.batch(k))
-        ks.append(k)
-    assert ks == list(range(ds.n_batches))
-
-
 def test_target_free_dataset_keeps_truth_for_reference():
     sc = straight_scenario(duration=10.0)
     ds = generate_dataset(sc, np.random.default_rng(4), target_free=True)

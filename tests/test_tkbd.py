@@ -1,8 +1,10 @@
 """Bernoulli particle filter: prediction, update, resampling, extraction."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sonartkbd.tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, PSIDOT,
@@ -239,6 +241,54 @@ def test_update_keeps_probability_in_range(seed, q, shift):
     post = update(belief, lambda s: rng.normal(shift, 2.0, len(s)), params, rng)
     assert 0.0 <= post.exist_prob <= 1.0
     assert np.isfinite(post.weights).all()
+
+
+def _cloud(n, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.1, 1.0, n)
+    return rng.uniform(-50, 50, size=(n, 3)), raw / raw.sum(), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.floats(0.0, 1.0),
+    loglr=st.lists(st.one_of(st.floats(-745.0, 745.0), st.just(-np.inf)),
+                   min_size=1, max_size=40),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_update_stays_valid_at_extreme_log_ratios(q, loglr, seed):
+    """ln L anywhere in the float exponent range, some particles ruled out."""
+    states, weights, rng = _cloud(len(loglr), seed)
+    ratios = np.array(loglr)
+    post = update(BernoulliBelief(q, states, weights), lambda s: ratios,
+                  small_params(n_persist=16), rng)
+    assert math.isfinite(post.exist_prob) and 0.0 <= post.exist_prob <= 1.0
+    assert (post.weights >= 0).all()
+    assert abs(post.weights.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    target=st.floats(-700.0, 10.0),
+    n=st.integers(1, 40),
+)
+def test_update_moves_log_odds_by_a_common_ratio(q, target, n):
+    """Every particle at ln L = c moves logit(q) by exactly c.
+
+    The updated log odds are drawn in [-700, 10]: past +10 the float q_new
+    sits so close to 1 that 1 - q_new no longer carries its log odds to
+    1e-9, and below -700 q_new turns subnormal.
+    """
+    logit_q = math.log(q) - math.log1p(-q)
+    c = target - logit_q
+    assume(abs(c) <= 745.0)
+    states, weights, rng = _cloud(n, n)
+    post = update(BernoulliBelief(q, states, weights),
+                  lambda s: np.full(len(s), c), small_params(n_persist=16), rng)
+    q_new = post.exist_prob
+    assert 0.0 < q_new < 1.0
+    assert math.log(q_new) - math.log1p(-q_new) - logit_q == pytest.approx(c, abs=1e-9)
 
 
 def test_filter_params_validation():
