@@ -10,7 +10,8 @@ tau seconds multiplies its DFT bin n by
 which keeps real inputs real (the Nyquist bin has no quadrature component,
 so only its in-phase part survives a fractional shift). The per-channel
 steering operator is diagonal in the DFT basis and is therefore stored as a
-spectrum, never as a dense matrix.
+spectrum, never as a dense matrix. `BeamformGrid` beamforms a whole stack
+of batches at once over the N/2+1 non-negative bins of one rfft.
 """
 
 from __future__ import annotations
@@ -134,52 +135,39 @@ def apply_steering(spectra: np.ndarray, source: np.ndarray) -> np.ndarray:
     return out.T.copy()
 
 
-def beamform(spectra: np.ndarray, batch: np.ndarray) -> float:
-    """Delay-and-sum energy of `batch` steered by `make_steering` spectra.
-
-    Each channel is shifted by the negated steering delay (the transpose of
-    the per-channel delay operator) and the aligned channels are summed;
-    the result is the squared 2-norm of that sum. Computed in the DFT
-    domain, where the sum's energy is ||S||^2 / N by Parseval.
-    """
-    m, n = spectra.shape
-    data = np.asarray(batch, dtype=float)
-    if data.shape != (n, m):
-        raise BatchShapeError(
-            f"batch shape {data.shape} does not match operator ({n}, {m})")
-    spec = np.fft.fft(data, axis=0)  # (N, M)
-    aligned = (spectra.conj().T * spec).sum(axis=1)
-    return float((aligned.real ** 2 + aligned.imag ** 2).sum() / n)
-
-
 class BeamformGrid:
     """Reusable beamformer for a fixed bearing grid.
 
-    Precomputes the conjugate steering spectra for every grid bearing so a
-    batch costs M FFTs plus one contraction. Rows out of `energies` match
-    `bearings_deg` order.
+    Stores the conjugate steering spectra of every grid bearing over the
+    non-negative DFT bins, shape (N/2+1, M, G), so a stack of K batches
+    costs one rfft plus one (K, M) @ (M, G) product per bin. Columns out of
+    `energies` match `bearings_deg` order.
     """
 
     def __init__(self, geom: ArrayGeometry, bearings_deg: np.ndarray, n_samples: int):
         self.geom = geom
         self.bearings_deg = np.asarray(bearings_deg, dtype=float)
         self.n_samples = int(n_samples)
-        # (G, M, N), already conjugated for the receive direction
-        self._steer = np.stack([make_steering(geom, b, n_samples).conj()
-                                for b in self.bearings_deg])
+        half = self.n_samples // 2 + 1
+        steer = np.stack([make_steering(geom, b, n_samples)[:, :half]
+                          for b in self.bearings_deg], axis=-1)  # (M, N/2+1, G)
+        self._steer = np.ascontiguousarray(steer.conj().transpose(1, 0, 2))
 
-    @property
-    def n_bearings(self) -> int:
-        return self.bearings_deg.shape[0]
+    def energies(self, batches: np.ndarray) -> np.ndarray:
+        """Beamformed energy at every grid bearing, (K, G), for a (K, N, M) stack.
 
-    def energies(self, batch: np.ndarray) -> np.ndarray:
-        """Beamformed energy at every grid bearing for one (N, M) batch."""
-        data = np.asarray(batch, dtype=float)
-        if data.shape != (self.n_samples, self.geom.n_channels):
+        Parseval over the rfft bins: bin n of a real batch mirrors bin N - n,
+        so every bin but DC and Nyquist counts twice.
+        """
+        data = np.asarray(batches, dtype=float)
+        n, m = self.n_samples, self.geom.n_channels
+        if data.ndim != 3 or data.shape[1:] != (n, m):
             raise BatchShapeError(
-                f"batch shape {data.shape} does not match grid "
-                f"({self.n_samples}, {self.geom.n_channels})")
-        spec = np.fft.fft(data, axis=0)  # (N, M)
-        summed = np.einsum("gmn,nm->gn", self._steer, spec)
-        return (summed.real ** 2 + summed.imag ** 2).sum(axis=1) / self.n_samples
-
+                f"batch stack shape {data.shape} does not match grid (K, {n}, {m})")
+        spec = np.fft.rfft(data, axis=1)  # (K, N/2+1, M)
+        out = np.zeros((data.shape[0], self.bearings_deg.size))
+        for i, steer in enumerate(self._steer):
+            aligned = spec[:, i] @ steer  # (K, G)
+            power = aligned.real ** 2 + aligned.imag ** 2
+            out += power if i in (0, n // 2) else 2.0 * power
+        return out / n

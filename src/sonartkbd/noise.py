@@ -38,7 +38,8 @@ class VarModel:
     noise_cov: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.coeffs, dtype=float)
+        # C order, so a copy pickled to a worker process computes bit for bit alike
+        a = np.ascontiguousarray(self.coeffs, dtype=float)
         s = np.asarray(self.noise_cov, dtype=float)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise FitError(f"coeffs must be (p, M, M), got {a.shape}")
@@ -256,6 +257,9 @@ def load_var(path) -> VarModel:
     if len(raw) != want:
         raise ModelFileError(f"{path}: expected {want} bytes, found {len(raw)}")
     body = np.frombuffer(raw, dtype="<f8", offset=head)
+    if not np.isfinite(body).all():
+        part = "coefficient" if not np.isfinite(body[:p * m * m]).all() else "covariance"
+        raise ModelFileError(f"{path}: non-finite {part} value")
     coeffs = body[:p * m * m].reshape(p, m, m)
     sigma = body[p * m * m:].reshape(m, m)
     return VarModel(coeffs.copy(), sigma.copy())

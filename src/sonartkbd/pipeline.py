@@ -8,11 +8,13 @@ batch becomes a likelihood ratio:
     gvar   Gaussian ratio on a VAR(p)-whitened batch
     cfar   detection-based ratio from a CFAR front end on the raw record
 
-`beam_energies` whitens a dataset's whole stream once and beamforms every
-batch over the `bearing_beamformer` grid; `sonartkbd btr` and `sonartkbd
-detect` read the same energies. `make_likelihood` turns them into one
-ln L(psi, eta) per batch, and `run_tracker` drives the filter over those.
-The array, batch length N and period N / fs come from the dataset.
+`beam_energies` whitens a dataset's whole stream once and beamforms all its
+batches in one rfft pass over the `bearing_beamformer` grid; `sonartkbd
+btr` and `sonartkbd detect` read the same energies. `make_likelihood` turns
+them into one particle ratio ln L(psi, eta) per batch plus the birth field
+over the (bearing, SNR) grid, computed straight from the batch's energy row
+or detections, and `run_tracker` drives the filter over those. The array,
+batch length N and period N / fs come from the dataset.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ def filter_params_from_config(cfg: PipelineConfig, batch_period: float) -> Filte
         p_psidot=cfg.filter_p_psidot,
         snr_lo_db=cfg.filter_snr_lo_db,
         snr_hi_db=cfg.filter_snr_hi_db,
-        eta_step_db=cfg.filter_eta_step_db,
         n_persist=cfg.filter_n_persist,
         n_birth=cfg.filter_n_birth,
         confirm_threshold=cfg.filter_confirm_threshold,
@@ -91,9 +92,10 @@ def beam_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None =
     """Beamformed energies of every batch, whitened by `model` first if given.
 
     The whole stream is whitened in one `whiten` call, which equals whitening
-    it batch by batch. Returns the (K, G) energies over `grid`, the (K,)
-    batch energies ||z||^2 and how many leading batches hold whitener
-    warm-up rows; their energies are returned but should not be scored.
+    it batch by batch, and beamformed as one (K, N, M) stack. Returns the
+    (K, G) energies over `grid`, the (K,) batch energies ||z||^2 and how
+    many leading batches hold whitener warm-up rows; their energies are
+    returned but should not be scored.
     """
     n, k = dataset.n_per_batch, dataset.n_batches
     data = dataset.samples[:k * n]
@@ -101,55 +103,58 @@ def beam_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None =
     if model is not None:
         data, _, warmup_rows = whiten(model, data)
         warmup = -(-warmup_rows // n)
-    energies = np.empty((k, grid.n_bearings))
-    z_norm_sq = np.empty(k)
-    for i in range(k):
-        batch = data[i * n:(i + 1) * n]
-        energies[i] = grid.energies(batch)
-        z_norm_sq[i] = (batch * batch).sum()
-    return energies, z_norm_sq, warmup
+    batches = data.reshape(k, n, dataset.geometry.n_channels)
+    return grid.energies(batches), (batches * batches).sum(axis=(1, 2)), warmup
 
 
 def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
-                    model: VarModel | None) -> tuple[np.ndarray, list]:
-    """Grid bearings plus one `ln L(psi_deg, eta_db)` per batch of `dataset`.
+                    model: VarModel | None) -> list:
+    """One `(ln L(psi_deg, eta_db), birth LikelihoodField)` pair per batch of `dataset`.
 
-    The energy variants interpolate the batch's beamformed energies at
-    `psi_deg` and apply the t or Gaussian ratio; `cfar` scores the batch's
-    CFAR detections and ignores `eta_db`. A batch's entry is None while the
-    whitener is warming up, and the filter then only predicts.
+    The energy variants apply the t or Gaussian ratio to the batch's
+    beamformed energies: the particle ratio interpolates the row at
+    `psi_deg`, the birth field takes the row itself over the (bearing, SNR)
+    grid. `cfar` scores the batch's CFAR detections and ignores the SNR. A
+    batch's entry is None while the whitener is warming up, and the filter
+    then only predicts.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     grid = bearing_beamformer(dataset, cfg)
     bearings = grid.bearings_deg
+    eta_grid = np.arange(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db + 1e-9,
+                         cfg.filter_eta_step_db)
     if variant == "cfar":
         clutter = ClutterModel(cfg.clutter_rate, cfg.clutter_prob_detect,
                                cfg.clutter_bearing_var)
         energies, _, _ = beam_energies(dataset, grid)
         detections = cfar_detections(energies, cfar_params_from_config(cfg), bearings)
 
-        def detection_loglr(found):
-            return lambda psi_deg, eta_db: detection_log_lr(found, psi_deg, clutter)
-        return bearings, [detection_loglr(found) for found in detections]
+        def detection_measurement(found):
+            return (lambda psi_deg, eta_db: detection_log_lr(found, psi_deg, clutter),
+                    LikelihoodField(bearings, eta_grid,
+                                    lambda: detection_log_lr(found, bearings, clutter)[:, None]))
+        return [detection_measurement(found) for found in detections]
     if model is None:
         raise ValueError(f"variant {variant!r} needs a noise model")
     if variant == "tvar0" and model.order != 0:
         raise ValueError("tvar0 expects an order-0 noise model")
     params = TModelParams(cfg.tmodel_dof, dataset.n_per_batch, dataset.geometry.n_channels)
     gaussian = variant == "gvar"
+    eta_lin = 10.0 ** (eta_grid / 10.0)
     energies, z_norm_sq, warmup = beam_energies(dataset, grid, model)
 
-    def energy_loglr(row, z2):
+    def energy_measurement(row, z2):
+        def ratio(b, eta):
+            return gauss_log_lr(b, eta, params) if gaussian else t_log_lr(b, z2, eta, params)
+
         def loglr(psi_deg, eta_db):
-            b = np.interp(psi_deg, bearings, row)
             eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
-            if gaussian:
-                return gauss_log_lr(b, eta, params)
-            return t_log_lr(b, z2, eta, params)
-        return loglr
-    return bearings, [None if k < warmup else energy_loglr(energies[k], float(z_norm_sq[k]))
-                      for k in range(energies.shape[0])]
+            return ratio(np.interp(psi_deg, bearings, row), eta)
+        return loglr, LikelihoodField(bearings, eta_grid,
+                                      lambda: ratio(row[:, None], eta_lin[None, :]))
+    return [None if k < warmup else energy_measurement(energies[k], float(z_norm_sq[k]))
+            for k in range(energies.shape[0])]
 
 
 def run_tracker(dataset: Dataset, variant: str, cfg: PipelineConfig,
@@ -157,20 +162,20 @@ def run_tracker(dataset: Dataset, variant: str, cfg: PipelineConfig,
     """Run one tracker variant over a dataset, batch by batch."""
     period = dataset.n_per_batch / dataset.geometry.sample_rate
     fparams = filter_params_from_config(cfg, period)
-    bearings, loglrs = make_likelihood(variant, dataset, cfg, model)
-    eta_grid = np.arange(fparams.snr_lo_db, fparams.snr_hi_db + 1e-9, fparams.eta_step_db)
+    measurements = make_likelihood(variant, dataset, cfg, model)
     belief = BernoulliBelief.empty(fparams, rng)
     prev_field: LikelihoodField | None = None
     n = dataset.n_batches
     out = {key: np.empty(n) for key in
            ("exist_prob", "psi_deg", "psidot", "eta_db")}
     confirmed = np.zeros(n, dtype=bool)
-    for k, loglr in enumerate(loglrs):
+    for k, measurement in enumerate(measurements):
         belief = predict(belief, fparams, prev_field, rng)
-        if loglr is not None:
+        if measurement is not None:
+            loglr, field = measurement
             belief = update(belief, lambda states: loglr(states[:, PSI], states[:, ETA_DB]),
                             fparams, rng)
-            prev_field = LikelihoodField(bearings, eta_grid, loglr)
+            prev_field = field
         est = extract(belief, fparams)
         out["exist_prob"][k] = est.exist_prob
         out["psi_deg"][k] = est.state.psi_deg

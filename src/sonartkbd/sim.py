@@ -283,6 +283,9 @@ def load_dataset(path) -> Dataset:
     truth_path = root / "truth.csv"
     if truth_path.exists():
         rows = np.loadtxt(truth_path, delimiter=",", skiprows=1, ndmin=2)
+        if rows.shape[1] != 4:
+            raise DatasetError(f"{truth_path}: expected 4 columns (batch_index, psi_deg, "
+                               f"eta_db, range_m), found {rows.shape[1]}")
         if rows.shape[0] != meta["n_batches"]:
             raise DatasetError(f"{truth_path}: row count does not match n_batches")
         times = (rows[:, 0] + 0.5) * meta["n_per_batch"] / geom.sample_rate

@@ -39,24 +39,23 @@ class TargetState:
 class FilterParams:
     """Bernoulli filter tuning.
 
-    The defaults are the simulation profile; `prob_survival` and
-    `prob_birth` are per batch, `batch_period` is the batch spacing in
-    seconds, `q_cv` and `q_dbsnr` are the process-noise standard deviations
-    for bearing rate (deg/s^2) and SNR (dB/s), `p_psidot` the variance of
-    a newborn bearing rate (deg^2/s^2). Births draw SNR inside
-    [snr_lo_db, snr_hi_db]; `confirm_threshold` is the q level gamma above
-    which a track is reported.
+    `batch_period` is the batch spacing N / fs of the data in seconds; the
+    other defaults are the simulation profile. `prob_survival` and
+    `prob_birth` are per batch, `q_cv` and `q_dbsnr` are the process-noise
+    standard deviations for bearing rate (deg/s^2) and SNR (dB/s),
+    `p_psidot` the variance of a newborn bearing rate (deg^2/s^2). Births
+    draw SNR inside [snr_lo_db, snr_hi_db]; `confirm_threshold` is the q
+    level gamma above which a track is reported.
     """
 
+    batch_period: float
     prob_survival: float = 0.99347
     prob_birth: float = 4.56e-8
-    batch_period: float = 0.17
     q_cv: float = 0.13
     q_dbsnr: float = 0.05
     p_psidot: float = 0.001
     snr_lo_db: float = -12.0
     snr_hi_db: float = -2.0
-    eta_step_db: float = 1.0
     n_persist: int = 2000
     n_birth: int = 500
     confirm_threshold: float = 0.9
@@ -97,8 +96,8 @@ class BernoulliBelief:
 class LikelihoodField:
     """Log likelihood ratio gridded over (bearing, SNR) for birth proposals.
 
-    `fn(psi_deg, eta_db)` must broadcast over arrays; the grid is evaluated
-    lazily and cached.
+    `fn()` returns ln L over the cell centres, broadcastable to (n_psi,
+    n_eta); it is called once, the first time `grid` is read.
     """
 
     def __init__(self, psi_grid: np.ndarray, eta_db_grid: np.ndarray, fn):
@@ -111,9 +110,8 @@ class LikelihoodField:
     def grid(self) -> np.ndarray:
         """(n_psi, n_eta) array of ln L over the cell centres."""
         if self._grid is None:
-            pp, ee = np.meshgrid(self.psi_grid, self.eta_db_grid, indexing="ij")
-            self._grid = np.asarray(self._fn(pp.ravel(), ee.ravel()), dtype=float)\
-                .reshape(pp.shape)
+            self._grid = np.broadcast_to(np.asarray(self._fn(), dtype=float),
+                                         (self.psi_grid.size, self.eta_db_grid.size))
         return self._grid
 
 

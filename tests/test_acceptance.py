@@ -102,7 +102,7 @@ def test_criterion_02_zero_snr_is_exactly_neutral():
         vals = t_log_lr(energy, z2, 0.0, params)
         exact_zero = exact_zero and bool(np.all(vals == 0.0))
 
-    fparams = FilterParams(n_persist=500, n_birth=100)
+    fparams = FilterParams(batch_period=64 / 375, n_persist=500, n_birth=100)
     worst_dq = 0.0
     for q in (0.013, 0.4, 0.5, 0.93, 0.999):
         states = rng.uniform(-1.0, 1.0, size=(300, 3))

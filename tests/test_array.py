@@ -6,8 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sonartkbd.array import (ArrayGeometry, BatchShapeError, BeamformGrid,
-                             GeometryError, apply_steering, beamform,
-                             delay_spectrum, make_steering, steering_delays)
+                             GeometryError, apply_steering, delay_spectrum,
+                             make_steering, steering_delays)
+
+
+def beamform(spectra: np.ndarray, batch: np.ndarray) -> float:
+    """Dense oracle: delay-and-sum energy of one (N, M) batch at one bearing.
+
+    Each channel's full N-bin DFT is multiplied by the conjugate of its
+    `make_steering` spectrum, the aligned channels are summed, and the
+    energy of the sum is ||S||^2 / N by Parseval. No Hermitian folding, no
+    batching: an independent route to what `BeamformGrid.energies` computes.
+    """
+    m, n = spectra.shape
+    data = np.asarray(batch, dtype=float)
+    assert data.shape == (n, m), data.shape
+    spec = np.fft.fft(data, axis=0)  # (N, M)
+    aligned = (spectra.conj().T * spec).sum(axis=1)
+    return float((aligned.real ** 2 + aligned.imag ** 2).sum() / n)
 
 
 def default_ula(m=8):
@@ -126,12 +142,10 @@ def test_beamform_matches_time_domain_shift_and_sum():
 
 
 def test_beamform_rejects_wrong_shape():
-    geom = default_ula()
-    op = make_steering(geom, 0.0, 64)
-    with pytest.raises(BatchShapeError):
-        beamform(op, np.zeros((64, 7)))
-    with pytest.raises(BatchShapeError):
-        beamform(op, np.zeros((32, 8)))
+    grid = BeamformGrid(default_ula(), np.array([0.0, 30.0]), 64)
+    for shape in ((2, 64, 7), (2, 32, 8), (64, 8), (64 * 8,)):
+        with pytest.raises(BatchShapeError):
+            grid.energies(np.zeros(shape))
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,7 +166,25 @@ def test_grid_matches_per_bearing_beamform():
     grid = BeamformGrid(geom, bearings, 64)
     batch = np.random.default_rng(5).standard_normal((64, 8))
     explicit = [beamform(make_steering(geom, b, 64), batch) for b in bearings]
-    np.testing.assert_allclose(grid.energies(batch), explicit, rtol=1e-10)
+    np.testing.assert_allclose(grid.energies(batch[None]), [explicit], rtol=1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(8, 64), (4, 64), (8, 8), (3, 2)])
+def test_batched_energies_match_dense_oracle(m, n):
+    """One rfft pass over a (K, N, M) stack equals the dense beamformer per batch.
+
+    (3, 2) has only the DC and Nyquist bins, both counted once.
+    """
+    geom = default_ula(m)
+    bearings = np.arange(-90.0, 91.0, 7.5)
+    grid = BeamformGrid(geom, bearings, n)
+    steering = [make_steering(geom, b, n) for b in bearings]
+    stack = np.random.default_rng(m * n).standard_normal((40, n, m))
+    oracle = np.array([[beamform(s, batch) for s in steering] for batch in stack])
+    energies = grid.energies(stack)
+    assert energies.shape == (40, bearings.size)
+    np.testing.assert_allclose(energies, oracle, rtol=1e-12)
+    np.testing.assert_allclose(grid.energies(stack[:1]), oracle[:1], rtol=1e-12)
 
 
 def test_steering_operator_direct_construction():

@@ -268,6 +268,35 @@ def test_bad_metadata_or_config_header_fails_with_one_line(workdir, tmp_path, ca
     assert len(line) < 200
 
 
+def test_truth_with_wrong_column_count_fails_with_one_line(workdir, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(workdir / "ds", ds)
+    lines = (ds / "truth.csv").read_text().splitlines()
+    (ds / "truth.csv").write_text("".join(",".join(line.split(",")[:2]) + "\n"
+                                          for line in lines))
+    assert main(["detect", "--config", str(workdir / "config.ini"), "--data", str(ds),
+                 "--out", str(tmp_path / "det.csv")]) == 1
+    line = _one_error_line(capsys)
+    assert str(ds / "truth.csv") in line and "expected 4 columns" in line and "found 2" in line
+
+
+@pytest.mark.parametrize("command", [["track", "--variant", "tvar"], ["btr"]],
+                         ids=["track", "btr"])
+@pytest.mark.parametrize("part", ["coefficient", "covariance"])
+def test_non_finite_model_value_fails_with_one_line(workdir, tmp_path, capsys, command, part):
+    raw = bytearray((workdir / "model.var").read_bytes())
+    order, m = 6, 8  # fitted by the workdir fixture
+    offset = 17 + 8 * (0 if part == "coefficient" else order * m * m + 3)
+    raw[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    (tmp_path / "bad.var").write_bytes(bytes(raw))
+    assert main([command[0], "--config", str(workdir / "config.ini"),
+                 "--data", str(workdir / "ds"), *command[1:],
+                 "--model", str(tmp_path / "bad.var"), "--out", str(tmp_path / "out.csv")]) == 1
+    line = _one_error_line(capsys)
+    assert str(tmp_path / "bad.var") in line and f"non-finite {part}" in line
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cfar_track_needs_no_model(workdir):
     rc = main(["track", "--config", str(workdir / "config.ini"),
                "--data", str(workdir / "ds"), "--variant", "cfar",

@@ -15,7 +15,7 @@ from sonartkbd.tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, PSIDOT,
 
 
 def small_params(**kw):
-    defaults = dict(n_persist=200, n_birth=50)
+    defaults = dict(batch_period=0.17, n_persist=200, n_birth=50)
     defaults.update(kw)
     return FilterParams(**defaults)
 
@@ -202,14 +202,20 @@ def test_birth_concentrates_on_likelihood_peak():
     psi_grid = np.arange(-90.0, 91.0, 1.0)
     eta_grid = np.arange(-12.0, -1.0, 1.0)
 
-    def fn(psi, eta):
-        return np.where(np.abs(psi - 30.0) < 2.0, 8.0, 0.0)
+    def fn():  # one column, broadcast over the SNR axis
+        return np.where(np.abs(psi_grid - 30.0) < 2.0, 8.0, 0.0)[:, None]
 
     field = LikelihoodField(psi_grid, eta_grid, fn)
     rng = np.random.default_rng(11)
     births = sample_birth(field, params, 2000, rng)
     near = np.abs(births[:, PSI] - 30.0) < 4.0
     assert near.mean() > 0.9
+
+
+def test_likelihood_field_rejects_a_grid_of_the_wrong_shape():
+    field = LikelihoodField(np.arange(5.0), np.arange(3.0), lambda: np.zeros((3, 5)))
+    with pytest.raises(ValueError):
+        field.grid
 
 
 def test_extract_weighted_mean_and_confirmation():
@@ -293,8 +299,10 @@ def test_update_moves_log_odds_by_a_common_ratio(q, target, n):
 
 def test_filter_params_validation():
     with pytest.raises(ValueError):
-        FilterParams(prob_survival=1.5)
+        small_params(prob_survival=1.5)
     with pytest.raises(ValueError):
-        FilterParams(snr_lo_db=-2.0, snr_hi_db=-12.0)
+        small_params(snr_lo_db=-2.0, snr_hi_db=-12.0)
     with pytest.raises(ValueError):
-        FilterParams(n_persist=0)
+        small_params(n_persist=0)
+    with pytest.raises(TypeError):
+        FilterParams()  # the batch period comes from the data, there is no default
