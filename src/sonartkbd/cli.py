@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, default_config, load_config, save_config
 from .detect import cfar_detections
-from .evaluate import OspaParams, aggregate_quantiles, make_run_report
+from .evaluate import aggregate_quantiles, make_run_report
 from .noise import fit_var, load_var, save_var, select_order
 from .pipeline import (VARIANTS, beam_energies, bearing_beamformer, cfar_params_from_config,
                        load_track_log, run_tracker, save_detections, save_track_log,
@@ -57,6 +57,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit_noise(args) -> int:
+    if args.max_samples < 0:
+        raise ValueError(f"--max-samples must be >= 0, got {args.max_samples}")
     ds = load_dataset(args.data)
     data = ds.samples
     if args.max_samples and data.shape[0] > args.max_samples:
@@ -97,13 +99,7 @@ def cmd_eval(args) -> int:
     ds = load_dataset(args.truth)
     if ds.truth is None:
         raise ValueError(f"{args.truth}: dataset has no truth.csv")
-    params = OspaParams(cfg.ospa_cutoff_deg, cfg.ospa_order)
-    reports = []
-    for path in args.tracks:
-        track = load_track_log(path)
-        reports.append(make_run_report(track.psi_deg, track.exist_prob,
-                                       track.confirmed, ds.truth, params,
-                                       min_run=cfg.eval_min_confirm_run))
+    reports = [make_run_report(load_track_log(path), ds.truth, cfg) for path in args.tracks]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("track", "first_confirm_batch", "detection_range_m",

@@ -8,12 +8,18 @@ Two built-in profiles exist: "real" (deployment defaults) and "sim" (the
 synthetic-study defaults with a shorter expected track life, a higher
 birth probability and a milder tail). A file starts from its declared
 profile's defaults and overrides what it names.
+
+This module is the one home of every tunable's default and domain: each
+field has one domain in `_DOMAINS`, checked whenever a `PipelineConfig` is
+built, so the classes the pipeline derives from it do not check again.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 CONFIG_VERSION = 2
@@ -28,7 +34,8 @@ class PipelineConfig:
     """Every tunable of the pipeline in one flat record.
 
     Field names are `<section>_<key>` for the INI mapping; see `_SECTIONS`
-    for the section order.
+    for the section order. Construction (and `replace`) raises ConfigError
+    naming `section.key` when a field leaves its domain in `_DOMAINS`.
     """
 
     meta_profile: str = "real"
@@ -80,6 +87,58 @@ class PipelineConfig:
 
     eval_min_confirm_run: int = 5
 
+    def __post_init__(self):
+        for requirement, valid, names in _DOMAINS:
+            for name in names:
+                value = getattr(self, name)
+                if not valid(value):
+                    key = name.replace("_", ".", 1)
+                    raise ConfigError(f"{key} must be {requirement}, got {value!r}")
+        if not self.filter_snr_lo_db < self.filter_snr_hi_db:
+            raise ConfigError(f"filter.snr_lo_db must be below filter.snr_hi_db "
+                              f"({self.filter_snr_hi_db!r}), got {self.filter_snr_lo_db!r}")
+
+
+def _finite(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+# The domain of every field, grouped by kind: (requirement, test, fields).
+# Beyond these, the SNR prior window must not be empty: snr_lo_db < snr_hi_db.
+_DOMAINS = (
+    ("'real' or 'sim'", lambda v: v in ("real", "sim"), ("meta_profile",)),
+    ("a finite number", _finite,
+     ("filter_snr_lo_db", "filter_snr_hi_db", "scenario_start_bearing_deg",
+      "scenario_end_bearing_deg")),
+    ("a finite number > 0", lambda v: _finite(v) and v > 0,
+     ("array_spacing_m", "array_speed_of_sound", "array_sample_rate",
+      "grid_bearing_step_deg", "filter_eta_step_db", "clutter_rate",
+      "clutter_bearing_var", "ospa_cutoff_deg", "scenario_start_range_m",
+      "scenario_end_range_m", "scenario_speed_mps", "scenario_ref_range_m")),
+    ("a finite number >= 0", lambda v: _finite(v) and v >= 0,
+     ("filter_q_cv", "filter_q_dbsnr", "filter_p_psidot", "scenario_duration_s",
+      "scenario_spread_exponent")),
+    ("a finite number >= 1", lambda v: _finite(v) and v >= 1, ("ospa_order",)),
+    ("a finite number > 2", lambda v: _finite(v) and v > 2,  # t dof with finite variance
+     ("tmodel_dof", "scenario_sim_dof")),
+    ("in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1,
+     ("filter_prob_survival", "filter_prob_birth")),
+    ("in (0, 1)", lambda v: _finite(v) and 0 < v < 1,
+     ("filter_confirm_threshold", "clutter_prob_detect")),
+    ("in (0, 0.5)", lambda v: _finite(v) and 0 < v < 0.5, ("cfar_alpha",)),
+    ("an integer >= 0", lambda v: _int(v) and v >= 0,
+     ("cfar_guard_cells", "cfar_train_rows")),
+    ("an integer >= 1", lambda v: _int(v) and v >= 1,
+     ("array_elements", "filter_n_persist", "filter_n_birth", "cfar_train_cells",
+      "eval_min_confirm_run")),
+    ("a positive even integer", lambda v: _int(v) and v > 0 and v % 2 == 0,
+     ("batch_samples",)),
+)
+
 
 # profile overrides applied on top of the real-data defaults
 #
@@ -107,11 +166,9 @@ _SECTIONS = ("meta", "array", "batch", "grid", "tmodel", "filter", "cfar",
 
 
 def default_config(profile: str = "real") -> PipelineConfig:
-    if profile == "real":
-        return PipelineConfig()
-    if profile == "sim":
-        return replace(PipelineConfig(meta_profile="sim"), **_SIM_PROFILE)
-    raise ConfigError(f"unknown profile {profile!r}, expected 'real' or 'sim'")
+    """The built-in defaults of `profile`, which must be 'real' or 'sim'."""
+    cfg = PipelineConfig(meta_profile=profile)
+    return replace(cfg, **_SIM_PROFILE) if profile == "sim" else cfg
 
 
 def _field_map() -> dict[tuple[str, str], object]:
@@ -137,10 +194,6 @@ def load_config(path) -> PipelineConfig:
     if version != str(CONFIG_VERSION):
         raise ConfigError(f"{path}: unsupported config_version {version}")
 
-    try:
-        cfg = default_config(parser.get("meta", "profile", fallback="real"))
-    except ConfigError as err:
-        raise ConfigError(f"{path}: {err}") from err
     fmap = _field_map()
     updates = {}
     for section in parser.sections():
@@ -152,17 +205,14 @@ def load_config(path) -> PipelineConfig:
             f = fmap.get((section, key))
             if f is None:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
-            try:
-                if f.type == "int":
-                    parsed = int(value)
-                elif f.type == "float":
-                    parsed = float(value)
-                else:
-                    parsed = value
+            try:  # meta.profile, the one str field, was skipped above
+                updates[f.name] = int(value) if f.type == "int" else float(value)
             except ValueError as err:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: {value!r}") from err
-            updates[f.name] = parsed
-    return replace(cfg, **updates)
+    try:
+        return replace(default_config(parser.get("meta", "profile", fallback="real")), **updates)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from err
 
 
 def save_config(cfg: PipelineConfig, path) -> None:

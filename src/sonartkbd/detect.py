@@ -16,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import norm
 
+from .tkbd import BEARING_LIMIT_DEG
+
 
 @lru_cache(maxsize=None)
 def _z_quantile(alpha: float) -> float:
@@ -24,18 +26,16 @@ def _z_quantile(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class CfarParams:
-    """Window sizes and false-alarm level for the cell-averaging detector."""
+    """Window sizes and false-alarm level for the cell-averaging detector.
 
-    guard_cells: int = 2
-    train_cells: int = 16
-    train_rows: int = 10
-    alpha: float = 1e-3
+    Built by `pipeline.cfar_params_from_config`; the values come already
+    checked from `PipelineConfig`'s `cfar_*` fields.
+    """
 
-    def __post_init__(self):
-        if self.guard_cells < 0 or self.train_cells < 1 or self.train_rows < 0:
-            raise ValueError("CFAR window sizes out of range")
-        if not 0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must be in (0, 0.5), got {self.alpha}")
+    guard_cells: int
+    train_cells: int
+    train_rows: int
+    alpha: float
 
     @property
     def z_alpha(self) -> float:
@@ -49,21 +49,14 @@ class ClutterModel:
     rate : expected clutter detections per batch (lambda)
     prob_detect : probability the target produces a detection (p_d)
     bearing_var : variance of a target-originated bearing, deg^2
-    interval : bearing interval the clutter is uniform over
+
+    Clutter is uniform over the bearing interval [-90, 90] deg. The values
+    come already checked from `PipelineConfig`'s `clutter_*` fields.
     """
 
-    rate: float = 0.2
-    prob_detect: float = 0.9
-    bearing_var: float = 4.0
-    interval: tuple[float, float] = (-90.0, 90.0)
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("clutter rate must be positive")
-        if not 0 < self.prob_detect < 1:
-            raise ValueError("prob_detect must be in (0, 1)")
-        if self.bearing_var <= 0:
-            raise ValueError("bearing_var must be positive")
+    rate: float
+    prob_detect: float
+    bearing_var: float
 
 
 def _window_kernel(params: CfarParams) -> np.ndarray:
@@ -157,14 +150,13 @@ def detection_log_lr(detections: np.ndarray, bearing_deg, clutter: ClutterModel)
     """Log likelihood ratio of a detection set given a target at `bearing_deg`.
 
     ln L = ln(1 - p_d + (p_d / lambda) sum_d N(psi_d; psi, R) / kappa) with
-    kappa the uniform clutter density over the bearing interval. Without
+    kappa the uniform clutter density over [-90, 90] deg. Without
     detections this is ln(1 - p_d); detections far from psi leave it there.
     Vectorised over `bearing_deg`.
     """
     psi = np.asarray(bearing_deg, dtype=float)
     dets = np.asarray(detections, dtype=float).ravel()
-    lo, hi = clutter.interval
-    kappa = 1.0 / (hi - lo)
+    kappa = 1.0 / (2.0 * BEARING_LIMIT_DEG)
     acc = np.zeros(psi.shape)
     if dets.size:
         r = clutter.bearing_var

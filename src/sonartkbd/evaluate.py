@@ -6,17 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
+
 
 @dataclass(frozen=True)
 class OspaParams:
-    """Cutoff (degrees) and order for the bearing OSPA distance."""
+    """Cutoff (degrees) and order for the bearing OSPA distance.
 
-    cutoff: float = 30.0
-    order: float = 1.0
+    The values come already checked from `PipelineConfig`'s `ospa_*` fields.
+    """
 
-    def __post_init__(self):
-        if self.cutoff <= 0 or self.order < 1:
-            raise ValueError("cutoff must be positive and order >= 1")
+    cutoff: float
+    order: float
 
 
 def ospa_single(estimates, truth_psi_deg: float, params: OspaParams) -> float:
@@ -35,7 +36,7 @@ def ospa_single(estimates, truth_psi_deg: float, params: OspaParams) -> float:
     return float(min(abs(est[0] - truth_psi_deg), params.cutoff))
 
 
-def sustained_confirmation(confirmed: np.ndarray, min_run: int = 5) -> int | None:
+def sustained_confirmation(confirmed: np.ndarray, min_run: int) -> int | None:
     """Index of the first batch opening >= `min_run` consecutive confirmations."""
     conf = np.asarray(confirmed, dtype=bool)
     run = 0
@@ -75,23 +76,27 @@ class RunReport:
     flips_after_detect: int
 
 
-def make_run_report(psi_est: np.ndarray, exist_prob: np.ndarray, confirmed: np.ndarray,
-                    truth, ospa_params: OspaParams, min_run: int = 5) -> RunReport:
-    """Score one tracker pass against ground truth."""
-    psi_est = np.asarray(psi_est, dtype=float)
-    confirmed = np.asarray(confirmed, dtype=bool)
+def make_run_report(track, truth, cfg: PipelineConfig) -> RunReport:
+    """Score one tracker pass (a `pipeline.TrackLog`) against ground truth.
+
+    OSPA uses the config's `ospa_*` values and a sustained confirmation
+    needs `eval_min_confirm_run` consecutive confirmed batches.
+    """
+    psi_est = np.asarray(track.psi_deg, dtype=float)
+    confirmed = np.asarray(track.confirmed, dtype=bool)
     n = psi_est.shape[0]
     if truth.psi_deg.shape[0] != n:
         raise ValueError(f"track has {n} batches, truth has {truth.psi_deg.shape[0]}")
+    ospa_params = OspaParams(cfg.ospa_cutoff_deg, cfg.ospa_order)
     ospa = np.array([
         ospa_single([psi_est[k]] if confirmed[k] else None, truth.psi_deg[k], ospa_params)
         for k in range(n)
     ])
-    first = sustained_confirmation(confirmed, min_run)
+    first = sustained_confirmation(confirmed, cfg.eval_min_confirm_run)
     return RunReport(
         batch_index=np.arange(n),
         ospa=ospa,
-        exist_prob=np.asarray(exist_prob, dtype=float),
+        exist_prob=np.asarray(track.exist_prob, dtype=float),
         confirmed=confirmed,
         first_confirm=first,
         detection_range_m=float(truth.range_m[first]) if first is not None else None,

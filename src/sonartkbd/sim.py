@@ -43,32 +43,30 @@ class Scenario:
     """Target path, SNR mapping and noise environment for one simulation.
 
     waypoints : (W, 2) polyline in metres, traversed at `speed` m/s
-    duration : seconds of data; defaults to the full traversal time
+    duration : seconds of data; None means the full traversal time
     n_per_batch : samples per batch (even)
     ref_range / spread_exponent : SNR map parameters
     sim_dof : chi-square degrees of freedom for the per-batch scale
+
+    `study.scenario_from_config` builds it; everything but the geometry,
+    the ambient model and the waypoints comes already checked from
+    `PipelineConfig`'s `scenario_*` and `batch_samples` fields.
     """
 
     geometry: ArrayGeometry
     ambient: VarModel
     waypoints: np.ndarray
     speed: float
-    duration: float | None = None
-    n_per_batch: int = 64
-    ref_range: float = 200.0
-    spread_exponent: float = 1.8
-    sim_dof: float = 12.0
+    duration: float | None
+    n_per_batch: int
+    ref_range: float
+    spread_exponent: float
+    sim_dof: float
 
     def __post_init__(self):
         wp = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
         if wp.shape[0] < 2 or wp.shape[1] != 2:
             raise ScenarioError(f"waypoints must be (W>=2, 2), got {wp.shape}")
-        if self.speed <= 0:
-            raise ScenarioError("speed must be positive")
-        if self.sim_dof <= 2:
-            raise ScenarioError("sim_dof must exceed 2")
-        if self.n_per_batch % 2 or self.n_per_batch < 2:
-            raise ScenarioError("n_per_batch must be even and positive")
         object.__setattr__(self, "waypoints", wp)
 
     @property

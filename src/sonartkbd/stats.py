@@ -6,8 +6,8 @@ Sigma = eta H H^T + I under the target hypothesis, or Sigma = I under noise
 only, where H stacks the per-channel steering operators for the hypothesised
 bearing. Because H^T H is (near) M I_N, the ratio collapses to a function of
 just the beamformed energy B = ||H^T z||^2 and the batch energy ||z||^2, so
-no NM x NM matrix is ever formed. `t_logpdf_full` keeps the explicit dense
-route alive for verification.
+no NM x NM matrix is ever formed. The tests check this against the explicit
+dense multivariate-t density.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.special import gammaln
 
 
 class DomainError(ValueError):
@@ -27,20 +25,15 @@ class DomainError(ValueError):
 class TModelParams:
     """Shape of the per-batch measurement model.
 
-    dof : degrees of freedom nu of the multivariate t (must exceed 2)
-    n_samples : batch length N
-    n_channels : channel count M
+    dof : degrees of freedom nu of the multivariate t, `PipelineConfig`'s
+        `tmodel_dof` (checked there to exceed 2)
+    n_samples : batch length N, from a checked dataset
+    n_channels : channel count M, from a checked dataset
     """
 
     dof: float
     n_samples: int
     n_channels: int
-
-    def __post_init__(self):
-        if not self.dof > 2:
-            raise DomainError(f"dof must exceed 2, got {self.dof}")
-        if self.n_samples < 2 or self.n_channels < 1:
-            raise DomainError("batch dimensions must be positive")
 
 
 def t_log_lr(energy, z_norm_sq, eta, params: TModelParams):
@@ -90,26 +83,3 @@ def gauss_log_lr(energy, eta, params: TModelParams):
     n, m = params.n_samples, params.n_channels
     out = -0.5 * n * np.log1p(m * eta) + eta * b / (2.0 * (1.0 + m * eta))
     return out if out.ndim else float(out)
-
-
-def t_logpdf_full(z: np.ndarray, dof: float, scale: np.ndarray) -> float:
-    """Dense multivariate-t log density, for verification only.
-
-    Evaluates ln t_d(z; dof, 0, scale) with an explicit Cholesky of the
-    scale matrix. The tracker never calls this; tests use it to check the
-    collapsed ratio against the full covariance route.
-    """
-    z = np.asarray(z, dtype=float).ravel()
-    d = z.shape[0]
-    scale = np.asarray(scale, dtype=float)
-    if scale.shape != (d, d):
-        raise DomainError(f"scale must be ({d}, {d}), got {scale.shape}")
-    lower = cholesky(scale, lower=True)
-    half = solve_triangular(lower, z, lower=True)
-    maha = float(half @ half)
-    logdet = 2.0 * float(np.log(np.diag(lower)).sum())
-    return float(
-        gammaln(0.5 * (dof + d)) - gammaln(0.5 * dof)
-        - 0.5 * d * np.log(dof * np.pi) - 0.5 * logdet
-        - 0.5 * (dof + d) * np.log1p(maha / dof)
-    )

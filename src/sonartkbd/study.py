@@ -18,7 +18,7 @@ from scipy.signal import lfilter
 
 from .array import ArrayGeometry, apply_steering, make_steering
 from .config import PipelineConfig
-from .evaluate import OspaParams, RunReport, make_run_report, median_detection_eta
+from .evaluate import RunReport, make_run_report, median_detection_eta
 from .noise import NoiseStream, VarModel, fit_var
 from .pipeline import VARIANTS, TrackLog, run_tracker, spawn_rng
 from .sim import (Dataset, Scenario, channel_noise_power, generate_batch,
@@ -152,11 +152,8 @@ def _one_run(args) -> list[StudyRun]:
         rng = spawn_rng(master_seed, SEED_TRACK, run_idx, VARIANTS.index(variant))
         track = run_tracker(dataset, variant, cfg,
                             models_for_variant(variant, model, model0), rng)
-        report = make_run_report(
-            track.psi_deg, track.exist_prob, track.confirmed, dataset.truth,
-            OspaParams(cfg.ospa_cutoff_deg, cfg.ospa_order),
-            min_run=cfg.eval_min_confirm_run)
-        out.append(StudyRun(run_idx, variant, track, report))
+        out.append(StudyRun(run_idx, variant, track,
+                            make_run_report(track, dataset.truth, cfg)))
     return out
 
 
@@ -215,10 +212,7 @@ def _false_tracks_on(datasets: list[Dataset], variant: str, cfg: PipelineConfig,
         rng = spawn_rng(master_seed, SEED_CALIBRATE, i, step, VARIANTS.index(variant))
         track = run_tracker(ds, variant, cfg,
                             models_for_variant(variant, model, model0), rng)
-        report = make_run_report(track.psi_deg, track.exist_prob, track.confirmed,
-                                 ds.truth, OspaParams(cfg.ospa_cutoff_deg, cfg.ospa_order),
-                                 min_run=cfg.eval_min_confirm_run)
-        if report.first_confirm is not None:
+        if make_run_report(track, ds.truth, cfg).first_confirm is not None:
             count += 1
     return count
 
@@ -248,8 +242,14 @@ def calibrate_variant(variant: str, cfg: PipelineConfig, datasets: list[Dataset]
     rate lambda (each detection argues less). The first setting with zero
     sustained confirmations wins, plus `margin_steps` extra steps of
     slack against sampling error in the sweep datasets. Raises if no
-    candidate within `MAX_CALIBRATION_STEPS` is clean.
+    candidate within `MAX_CALIBRATION_STEPS` is clean, or if `step_db` is
+    not a finite number > 0 or `margin_steps` is negative, either of which
+    would make the calibrated setting more sensitive than the configured one.
     """
+    if not (np.isfinite(step_db) and step_db > 0):
+        raise ValueError(f"step_db must be a finite number > 0, got {step_db!r}")
+    if margin_steps < 0:
+        raise ValueError(f"margin_steps must be >= 0, got {margin_steps!r}")
     trace: list[tuple[float, int]] = []
     clean_step: int | None = None
     for step in range(MAX_CALIBRATION_STEPS + 1):

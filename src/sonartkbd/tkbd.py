@@ -37,40 +37,28 @@ class TargetState:
 
 @dataclass(frozen=True)
 class FilterParams:
-    """Bernoulli filter tuning.
+    """Bernoulli filter tuning, built by `pipeline.filter_params_from_config`.
 
     `batch_period` is the batch spacing N / fs of the data in seconds; the
-    other defaults are the simulation profile. `prob_survival` and
-    `prob_birth` are per batch, `q_cv` and `q_dbsnr` are the process-noise
-    standard deviations for bearing rate (deg/s^2) and SNR (dB/s),
-    `p_psidot` the variance of a newborn bearing rate (deg^2/s^2). Births
-    draw SNR inside [snr_lo_db, snr_hi_db]; `confirm_threshold` is the q
-    level gamma above which a track is reported.
+    other values come already checked from `PipelineConfig`'s `filter_*`
+    fields. `prob_survival` and `prob_birth` are per batch, `q_cv` and
+    `q_dbsnr` are the process-noise standard deviations for bearing rate
+    (deg/s^2) and SNR (dB/s), `p_psidot` the variance of a newborn bearing
+    rate (deg^2/s^2). Births draw SNR inside [snr_lo_db, snr_hi_db];
+    `confirm_threshold` is the q level gamma above which a track is reported.
     """
 
     batch_period: float
-    prob_survival: float = 0.99347
-    prob_birth: float = 4.56e-8
-    q_cv: float = 0.13
-    q_dbsnr: float = 0.05
-    p_psidot: float = 0.001
-    snr_lo_db: float = -12.0
-    snr_hi_db: float = -2.0
-    n_persist: int = 2000
-    n_birth: int = 500
-    confirm_threshold: float = 0.9
-
-    def __post_init__(self):
-        if not 0.0 <= self.prob_survival <= 1.0:
-            raise ValueError("prob_survival must be in [0, 1]")
-        if not 0.0 <= self.prob_birth <= 1.0:
-            raise ValueError("prob_birth must be in [0, 1]")
-        if self.snr_hi_db <= self.snr_lo_db:
-            raise ValueError("empty SNR prior interval")
-        if self.n_persist < 1 or self.n_birth < 1:
-            raise ValueError("particle counts must be positive")
-        if not 0.0 < self.confirm_threshold < 1.0:
-            raise ValueError("confirm_threshold must be in (0, 1)")
+    prob_survival: float
+    prob_birth: float
+    q_cv: float
+    q_dbsnr: float
+    p_psidot: float
+    snr_lo_db: float
+    snr_hi_db: float
+    n_persist: int
+    n_birth: int
+    confirm_threshold: float
 
 
 @dataclass

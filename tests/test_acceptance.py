@@ -6,6 +6,7 @@ per-criterion lines. Criteria 06-08 share one Monte-Carlo study fixture
 is self-contained and fast.
 """
 
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -16,14 +17,15 @@ from sonartkbd.array import (ArrayGeometry, apply_steering, delay_spectrum,
 from sonartkbd.config import default_config
 from sonartkbd.evaluate import OspaParams, ospa_single
 from sonartkbd.noise import NoiseStream, VarModel, fit_var, whiten
-from sonartkbd.pipeline import VARIANTS
-from sonartkbd.stats import TModelParams, gauss_log_lr, t_log_lr, t_logpdf_full
+from sonartkbd.pipeline import VARIANTS, filter_params_from_config
+from sonartkbd.stats import TModelParams, gauss_log_lr, t_log_lr
 from sonartkbd.study import (calibrate_variant, count_false_tracks,
                              default_ambient_model, default_geometry,
                              detection_summary, fit_observed_models,
                              generate_calibration_data, run_study,
                              scenario_from_config)
-from sonartkbd.tkbd import BernoulliBelief, FilterParams, update
+from sonartkbd.tkbd import BernoulliBelief, update
+from test_stats import t_logpdf_full
 
 MASTER_SEED = 42
 TARGET_FREE_SEED = 777
@@ -102,7 +104,8 @@ def test_criterion_02_zero_snr_is_exactly_neutral():
         vals = t_log_lr(energy, z2, 0.0, params)
         exact_zero = exact_zero and bool(np.all(vals == 0.0))
 
-    fparams = FilterParams(batch_period=64 / 375, n_persist=500, n_birth=100)
+    fparams = replace(filter_params_from_config(default_config("sim"), 64 / 375),
+                      n_persist=500, n_birth=100)
     worst_dq = 0.0
     for q in (0.013, 0.4, 0.5, 0.93, 0.999):
         states = rng.uniform(-1.0, 1.0, size=(300, 3))

@@ -1,5 +1,6 @@
 """Config schema strictness plus an end-to-end CLI pass in a temp dir."""
 
+import configparser
 import json
 import os
 import pkgutil
@@ -16,7 +17,7 @@ import pytest
 import sonartkbd
 from sonartkbd.array import ArrayGeometry
 from sonartkbd.cli import main
-from sonartkbd.config import (CONFIG_VERSION, ConfigError, PipelineConfig,
+from sonartkbd.config import (_DOMAINS, CONFIG_VERSION, ConfigError, PipelineConfig,
                               default_config, load_config, save_config)
 from sonartkbd.sim import Dataset, save_dataset
 
@@ -99,6 +100,12 @@ def test_every_config_field_is_read():
     unread = [f.name for f in fields(PipelineConfig)
               if not re.search(rf"\.{f.name}\b", code)]
     assert unread == []
+
+
+def test_every_config_field_has_one_domain():
+    """A field missing from the domain table would go unchecked."""
+    named = [name for _, _, names in _DOMAINS for name in names]
+    assert sorted(named) == sorted(f.name for f in fields(PipelineConfig))
 
 
 def test_config_rejects_unparseable_value(tmp_path):
@@ -246,7 +253,7 @@ def _edit_meta(meta, **changes):
      "unsupported config_version abc"),
     ("c.ini", lambda t: t.replace(f"config_version = {CONFIG_VERSION}", "config_version = 1"),
      "unsupported config_version 1"),
-    ("c.ini", lambda t: t.replace("profile = sim", "profile = marine"), "unknown profile"),
+    ("c.ini", lambda t: t.replace("profile = sim", "profile = marine"), "meta.profile"),
 ], ids=["no-positions", "no-n_batches", "n_batches-string", "odd-n_per_batch",
         "sample_rate-string", "positions-shape", "version-abc", "version-1", "profile"])
 def test_bad_metadata_or_config_header_fails_with_one_line(workdir, tmp_path, capsys,
@@ -266,6 +273,58 @@ def test_bad_metadata_or_config_header_fails_with_one_line(workdir, tmp_path, ca
     line = _one_error_line(capsys)
     assert str(path) in line and expect in line
     assert len(line) < 200
+
+
+@pytest.mark.parametrize("variant, key, value", [
+    ("tvar", "grid.bearing_step_deg", "0"),
+    ("tvar", "filter.eta_step_db", "0"),
+    ("tvar", "grid.bearing_step_deg", "-1"),
+    ("tvar", "filter.snr_lo_db", "nan"),
+    ("tvar", "filter.p_psidot", "-1"),
+    ("tvar", "tmodel.dof", "inf"),
+    ("cfar", "clutter.bearing_var", "nan"),
+    ("tvar", "filter.q_cv", "-1"),
+    ("eval", "eval.min_confirm_run", "0"),
+    ("tvar", "tmodel.dof", "2"),
+    ("cfar", "cfar.alpha", "0"),
+])
+def test_out_of_domain_config_value_fails_with_one_line(workdir, tmp_path, capsys,
+                                                        variant, key, value):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(workdir / "config.ini")
+    parser.set(*key.split("."), value)
+    bad = tmp_path / "bad.ini"
+    with open(bad, "w") as fh:
+        parser.write(fh)
+    out = tmp_path / "out.csv"
+    if variant == "eval":
+        log = tmp_path / "track.csv"
+        assert main(["track", "--config", str(workdir / "config.ini"), "--data",
+                     str(workdir / "ds"), "--variant", "cfar", "--out", str(log)]) == 0
+        argv = ["eval", "--truth", str(workdir / "ds"), "--tracks", str(log)]
+    else:
+        argv = ["track", "--data", str(workdir / "ds"), "--variant", variant,
+                "--model", str(workdir / "model.var")]
+    assert main(argv + ["--config", str(bad), "--out", str(out)]) == 1
+    line = _one_error_line(capsys)
+    assert str(bad) in line and f"{key} must be" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["calibrate-prior", "--variant", "cfar", "--step-db", "-2"], "step_db"),
+    (["calibrate-prior", "--variant", "cfar", "--step-db", "0"], "step_db"),
+    (["calibrate-prior", "--variant", "cfar", "--step-db", "nan"], "step_db"),
+    (["calibrate-prior", "--variant", "cfar", "--margin-steps", "-1"], "margin_steps"),
+    (["fit-noise", "--max-samples", "-5"], "--max-samples"),
+], ids=["step-db-negative", "step-db-zero", "step-db-nan", "margin-steps-negative",
+        "max-samples-negative"])
+def test_out_of_range_option_fails_with_one_line(workdir, tmp_path, capsys, argv, expect):
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(workdir / "config.ini"), "--data",
+                        str(workdir / "ds"), "--out", str(out)]) == 1
+    assert expect in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_truth_with_wrong_column_count_fails_with_one_line(workdir, tmp_path, capsys):

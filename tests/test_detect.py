@@ -1,45 +1,46 @@
 """CA-CFAR detection and the detection-sequence likelihood ratio."""
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonartkbd.detect import (CfarParams, ClutterModel, _window_kernel,
-                              cfar_detect, cfar_detections, detection_log_lr)
+from sonartkbd.config import ConfigError, default_config
+from sonartkbd.detect import (ClutterModel, _window_kernel, cfar_detect, cfar_detections,
+                              detection_log_lr)
+from sonartkbd.pipeline import cfar_params_from_config
+
+
+def cfar_params(**kw):
+    """The real profile's detector with the given values replaced."""
+    return replace(cfar_params_from_config(default_config("real")), **kw)
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        CfarParams(guard_cells=-1)
-    with pytest.raises(ValueError):
-        CfarParams(train_cells=0)
-    with pytest.raises(ValueError):
-        CfarParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        ClutterModel(rate=0.0)
-    with pytest.raises(ValueError):
-        ClutterModel(prob_detect=1.5)
+    """Detector and clutter values are checked once, where they are set: in the config."""
+    for bad in (dict(cfar_guard_cells=-1), dict(cfar_train_cells=0), dict(cfar_alpha=0.0),
+                dict(clutter_rate=0.0), dict(clutter_prob_detect=1.5)):
+        with pytest.raises(ConfigError):
+            replace(default_config("real"), **bad)
 
 
 def test_z_quantile_frozen():
-    assert CfarParams(alpha=1e-3).z_alpha == pytest.approx(3.090232306167813,
-                                                           abs=1e-12)
-    assert CfarParams(alpha=0.25).z_alpha == pytest.approx(0.6744897501960817,
-                                                           abs=1e-12)
+    assert cfar_params(alpha=1e-3).z_alpha == pytest.approx(3.090232306167813, abs=1e-12)
+    assert cfar_params(alpha=0.25).z_alpha == pytest.approx(0.6744897501960817, abs=1e-12)
 
 
 def test_window_kernel_layout():
-    k = _window_kernel(CfarParams(guard_cells=2, train_cells=3))
+    k = _window_kernel(cfar_params(guard_cells=2, train_cells=3))
     # three training taps, two guard cells, the test cell, mirrored
     assert k.tolist() == [1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1]
 
 
 def test_constant_rows_fire_nothing():
     """Zero training spread means threshold == value; strict > keeps quiet."""
-    params = CfarParams(guard_cells=2, train_cells=4, train_rows=3)
+    params = cfar_params(guard_cells=2, train_cells=4, train_rows=3)
     row = np.full(50, 7.0)
     history = np.full((3, 50), 7.0)
     idx, threshold = cfar_detect(row, history, params)
@@ -49,7 +50,7 @@ def test_constant_rows_fire_nothing():
 
 def test_spike_is_detected_at_its_cell():
     rng = np.random.default_rng(0)
-    params = CfarParams(guard_cells=2, train_cells=8, train_rows=4, alpha=1e-3)
+    params = cfar_params(guard_cells=2, train_cells=8, train_rows=4, alpha=1e-3)
     history = rng.normal(10.0, 1.0, size=(4, 80))
     row = rng.normal(10.0, 1.0, size=80)
     row[37] = 40.0
@@ -59,7 +60,7 @@ def test_spike_is_detected_at_its_cell():
 
 def test_adjacent_detections_collapse_to_peak():
     rng = np.random.default_rng(1)
-    params = CfarParams(guard_cells=2, train_cells=8, train_rows=4, alpha=1e-3)
+    params = cfar_params(guard_cells=2, train_cells=8, train_rows=4, alpha=1e-3)
     history = rng.normal(10.0, 1.0, size=(4, 80))
     row = rng.normal(10.0, 1.0, size=80)
     row[40] = 35.0
@@ -71,7 +72,7 @@ def test_adjacent_detections_collapse_to_peak():
 
 
 def test_history_row_budget_enforced():
-    params = CfarParams(train_rows=2)
+    params = cfar_params(train_rows=2)
     with pytest.raises(ValueError):
         cfar_detect(np.zeros(40), np.zeros((3, 40)), params)
     with pytest.raises(ValueError):
@@ -81,7 +82,7 @@ def test_history_row_budget_enforced():
 def test_false_alarm_rate_is_controlled():
     """On iid Gaussian rows the empirical rate stays near alpha."""
     rng = np.random.default_rng(2)
-    params = CfarParams(guard_cells=2, train_cells=16, train_rows=10, alpha=1e-2)
+    params = cfar_params(guard_cells=2, train_cells=16, train_rows=10, alpha=1e-2)
     n_rows = 400
     found = cfar_detections(rng.normal(0.0, 1.0, size=(n_rows, 181)), params,
                             np.arange(181.0))
@@ -91,7 +92,7 @@ def test_false_alarm_rate_is_controlled():
 
 
 def test_detector_streams_bearings():
-    params = CfarParams(guard_cells=1, train_cells=4, train_rows=2, alpha=1e-3)
+    params = cfar_params(guard_cells=1, train_cells=4, train_rows=2, alpha=1e-3)
     bearings = np.linspace(-90.0, 90.0, 41)
     energies = np.random.default_rng(3).normal(5.0, 0.3, size=(3, 41))
     energies[2, 20] = 30.0
@@ -101,7 +102,7 @@ def test_detector_streams_bearings():
 
 
 def test_train_rows_zero_uses_current_row_only():
-    params = CfarParams(guard_cells=2, train_cells=8, train_rows=0, alpha=1e-3)
+    params = cfar_params(guard_cells=2, train_cells=8, train_rows=0, alpha=1e-3)
     rng = np.random.default_rng(4)
     # a globally hot row should not fire when its shape is flat
     hot = rng.normal(100.0, 1.0, size=60)
@@ -115,7 +116,7 @@ def test_train_rows_zero_uses_current_row_only():
 @pytest.mark.parametrize("train_rows", [0, 1, 3])
 def test_cfar_detections_train_on_the_rows_before(train_rows):
     """Equal to a streaming detector that keeps the last `train_rows` rows."""
-    params = CfarParams(guard_cells=1, train_cells=3, train_rows=train_rows, alpha=0.05)
+    params = cfar_params(guard_cells=1, train_cells=3, train_rows=train_rows, alpha=0.05)
     energies = np.random.default_rng(5).gamma(2.0, 1.0, size=(12, 30))
     bearings = np.linspace(-90.0, 90.0, 30)
     found = cfar_detections(energies, params, bearings)
@@ -127,15 +128,14 @@ def test_cfar_detections_train_on_the_rows_before(train_rows):
 
 
 def test_window_wider_than_grid_is_rejected():
-    params = CfarParams(guard_cells=2, train_cells=4, train_rows=0)  # 13 cells
+    params = cfar_params(guard_cells=2, train_cells=4, train_rows=0)  # 13 cells
     assert len(cfar_detections(np.ones((2, 13)), params, np.arange(13.0))) == 2
     with pytest.raises(ValueError, match="13 cells .* 12-cell"):
         cfar_detections(np.ones((2, 12)), params, np.arange(12.0))
 
 
 def test_detection_log_lr_frozen_values():
-    clutter = ClutterModel(rate=1.0, prob_detect=0.9, bearing_var=4.0,
-                           interval=(-90.0, 90.0))
+    clutter = ClutterModel(rate=1.0, prob_detect=0.9, bearing_var=4.0)
     on_target = detection_log_lr(np.array([10.0]), 10.0, clutter)
     # ln(0.1 + 0.9 * 180 * N(0; 0, 4)) with N(0; 0, 4) = 0.19947114020071635
     assert float(on_target) == pytest.approx(3.4786004458483677, abs=1e-12)

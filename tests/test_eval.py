@@ -1,14 +1,18 @@
 """Metric edge cases pinned exactly: OSPA, confirmation runs, aggregation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sonartkbd.config import ConfigError, default_config
 from sonartkbd.evaluate import (OspaParams, RunReport, aggregate_quantiles,
                                 flip_count, make_run_report,
                                 median_detection_eta, ospa_single,
                                 sustained_confirmation)
+from sonartkbd.pipeline import TrackLog
 from sonartkbd.sim import ScenarioTruth
 
 
@@ -19,6 +23,13 @@ def truth_const(n, psi=0.0, eta=-5.0, rng_m=500.0):
     idx = np.arange(n)
     return ScenarioTruth(idx, idx * 0.17, np.full(n, psi), np.full(n, eta),
                          np.full(n, rng_m))
+
+
+def track_log(psi_est, exist_prob, confirmed):
+    n = len(psi_est)
+    zeros = np.zeros(n)
+    return TrackLog(np.arange(n), zeros, np.asarray(exist_prob, dtype=float),
+                    np.asarray(psi_est, dtype=float), zeros, zeros, confirmed)
 
 
 def test_ospa_edges():
@@ -32,10 +43,11 @@ def test_ospa_edges():
 
 
 def test_ospa_params_validation():
-    with pytest.raises(ValueError):
-        OspaParams(cutoff=0.0)
-    with pytest.raises(ValueError):
-        OspaParams(order=0.5)
+    """OSPA values are checked once, where they are set: in the config."""
+    with pytest.raises(ConfigError):
+        replace(default_config(), ospa_cutoff_deg=0.0)
+    with pytest.raises(ConfigError):
+        replace(default_config(), ospa_order=0.5)
 
 
 @settings(max_examples=100, deadline=None)
@@ -51,7 +63,7 @@ def test_sustained_confirmation_first_window():
     assert sustained_confirmation(conf, min_run=5) == 4
     assert sustained_confirmation(conf, min_run=2) == 1
     assert sustained_confirmation(conf, min_run=6) is None
-    assert sustained_confirmation(np.zeros(10, dtype=bool)) is None
+    assert sustained_confirmation(np.zeros(10, dtype=bool), min_run=5) is None
     assert sustained_confirmation(np.ones(5, dtype=bool), min_run=5) == 0
 
 
@@ -70,8 +82,8 @@ def test_run_report_scores_only_confirmed_batches():
     psi_est = np.full(n, 7.0)
     confirmed = np.zeros(n, dtype=bool)
     confirmed[4:10] = True
-    report = make_run_report(psi_est, np.linspace(0, 1, n), confirmed, truth,
-                             P, min_run=5)
+    report = make_run_report(track_log(psi_est, np.linspace(0, 1, n), confirmed), truth,
+                             default_config())
     np.testing.assert_allclose(report.ospa[:4], 30.0)
     np.testing.assert_allclose(report.ospa[4:10], 2.0)
     np.testing.assert_allclose(report.ospa[10:], 30.0)
@@ -85,8 +97,8 @@ def test_run_report_scores_only_confirmed_batches():
 def test_run_report_never_confirmed():
     n = 8
     truth = truth_const(n)
-    report = make_run_report(np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool),
-                             truth, P)
+    report = make_run_report(track_log(np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)),
+                             truth, default_config())
     assert report.first_confirm is None
     assert report.detection_range_m is None
     assert report.detection_eta_db is None
@@ -97,8 +109,8 @@ def test_run_report_never_confirmed():
 def test_run_report_length_mismatch():
     truth = truth_const(5)
     with pytest.raises(ValueError):
-        make_run_report(np.zeros(6), np.zeros(6), np.zeros(6, dtype=bool),
-                        truth, P)
+        make_run_report(track_log(np.zeros(6), np.zeros(6), np.zeros(6, dtype=bool)),
+                        truth, default_config())
 
 
 def test_aggregate_quantiles_shape_and_median():

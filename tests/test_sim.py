@@ -1,10 +1,12 @@
 """Scenario simulator: geometry mapping, SNR law, batch scaling, file format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sonartkbd.array import ArrayGeometry
-from sonartkbd.config import default_config
+from sonartkbd.config import ConfigError, default_config
 from sonartkbd.noise import NoiseStream, VarModel, fit_var
 from sonartkbd.sim import (Dataset, DatasetError, Scenario, ScenarioError,
                            bearing_range_from_xy, channel_noise_power,
@@ -24,7 +26,11 @@ def straight_scenario(geom=None, **kw):
         ambient=white_model(geom.n_channels),
         waypoints=geom.centroid + np.array([[0.0, 1000.0], [0.0, 200.0]]),
         speed=10.0,
+        duration=None,
         n_per_batch=64,
+        ref_range=200.0,
+        spread_exponent=1.8,
+        sim_dof=12.0,
     )
     defaults.update(kw)
     return Scenario(**defaults)
@@ -74,12 +80,11 @@ def test_duration_beyond_path_rejected():
 def test_scenario_validation():
     with pytest.raises(ScenarioError):
         straight_scenario(waypoints=np.array([[0.0, 100.0]]))
-    with pytest.raises(ScenarioError):
-        straight_scenario(speed=0.0)
-    with pytest.raises(ScenarioError):
-        straight_scenario(sim_dof=2.0)
-    with pytest.raises(ScenarioError):
-        straight_scenario(n_per_batch=63)
+    # speed, tail dof and batch length are checked once, where they are set: in the config
+    for bad in (dict(scenario_speed_mps=0.0), dict(scenario_sim_dof=2.0),
+                dict(batch_samples=63)):
+        with pytest.raises(ConfigError):
+            replace(default_config("sim"), **bad)
 
 
 def test_sim_profile_batch_count():

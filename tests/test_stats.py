@@ -1,18 +1,43 @@
 """Heavy-tailed and Gaussian energy log likelihood ratios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cholesky, solve_triangular
+from scipy.special import gammaln
 from scipy.stats import multivariate_t
 
 from sonartkbd.array import delay_spectrum
-from sonartkbd.stats import (DomainError, TModelParams, gauss_log_lr,
-                             t_log_lr, t_logpdf_full)
+from sonartkbd.config import ConfigError, default_config
+from sonartkbd.stats import DomainError, TModelParams, gauss_log_lr, t_log_lr
 
 
 def params(n=8, m=3, dof=5.0):
     return TModelParams(dof=dof, n_samples=n, n_channels=m)
+
+
+def t_logpdf_full(z: np.ndarray, dof: float, scale: np.ndarray) -> float:
+    """Dense multivariate-t log density ln t_d(z; dof, 0, scale).
+
+    Uses an explicit Cholesky of the scale matrix; the oracle that the
+    collapsed beam-energy ratio is checked against.
+    """
+    z = np.asarray(z, dtype=float).ravel()
+    d = z.shape[0]
+    scale = np.asarray(scale, dtype=float)
+    assert scale.shape == (d, d)
+    lower = cholesky(scale, lower=True)
+    half = solve_triangular(lower, z, lower=True)
+    maha = float(half @ half)
+    logdet = 2.0 * float(np.log(np.diag(lower)).sum())
+    return float(
+        gammaln(0.5 * (dof + d)) - gammaln(0.5 * dof)
+        - 0.5 * d * np.log(dof * np.pi) - 0.5 * logdet
+        - 0.5 * (dof + d) * np.log1p(maha / dof)
+    )
 
 
 def shift_operator(n, shifts):
@@ -22,10 +47,11 @@ def shift_operator(n, shifts):
 
 
 def test_params_validation():
-    with pytest.raises(DomainError):
-        TModelParams(dof=2.0, n_samples=8, n_channels=3)
-    with pytest.raises(DomainError):
-        TModelParams(dof=5.0, n_samples=0, n_channels=3)
+    """The t dof and the batch length are checked once, where they are set: in the config."""
+    with pytest.raises(ConfigError):
+        replace(default_config(), tmodel_dof=2.0)
+    with pytest.raises(ConfigError):
+        replace(default_config(), batch_samples=0)
 
 
 def test_zero_snr_is_exactly_neutral():

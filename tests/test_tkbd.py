@@ -1,12 +1,15 @@
 """Bernoulli particle filter: prediction, update, resampling, extraction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sonartkbd.config import ConfigError, default_config
+from sonartkbd.pipeline import filter_params_from_config
 from sonartkbd.tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, PSIDOT,
                             BernoulliBelief, FilterParams, LikelihoodField,
                             effective_sample_size, extract, motion_step,
@@ -15,9 +18,9 @@ from sonartkbd.tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, PSIDOT,
 
 
 def small_params(**kw):
-    defaults = dict(batch_period=0.17, n_persist=200, n_birth=50)
-    defaults.update(kw)
-    return FilterParams(**defaults)
+    """The sim profile's filter on a 0.17 s batch period, with small clouds."""
+    params = filter_params_from_config(default_config("sim"), 0.17)
+    return replace(params, **{"n_persist": 200, "n_birth": 50, **kw})
 
 
 def single_particle_belief(q, psi=0.0, psidot=0.0, eta=-5.0):
@@ -298,11 +301,12 @@ def test_update_moves_log_odds_by_a_common_ratio(q, target, n):
 
 
 def test_filter_params_validation():
-    with pytest.raises(ValueError):
-        small_params(prob_survival=1.5)
-    with pytest.raises(ValueError):
-        small_params(snr_lo_db=-2.0, snr_hi_db=-12.0)
-    with pytest.raises(ValueError):
-        small_params(n_persist=0)
+    """The filter's values are checked once, where they are set: in the config."""
+    cfg = default_config("sim")
+    for bad in (dict(filter_prob_survival=1.5),
+                dict(filter_snr_lo_db=-2.0, filter_snr_hi_db=-12.0),
+                dict(filter_n_persist=0)):
+        with pytest.raises(ConfigError):
+            replace(cfg, **bad)
     with pytest.raises(TypeError):
-        FilterParams()  # the batch period comes from the data, there is no default
+        FilterParams(0.17)  # every other value comes from the config, none has a default
