@@ -1,10 +1,10 @@
 """Run the calibrated Monte-Carlo tracking study and print the summary table.
 
-This is the scripted version of what tests/test_acceptance.py does for
-criteria 06-08: build the synthetic environment, refit the whitening models
-on an observed (target-free) recording, back each variant's sensitivity off
-until the calibration datasets stay clean, then score every variant on
-paired target and target-free runs.
+The study is `sonartkbd.study.calibrated_study`, the one acceptance criteria
+06-08 run: build the synthetic environment, refit the whitening models on an
+observed (target-free) recording, back each variant's sensitivity off until
+the calibration datasets stay clean, then score every variant on paired
+target and target-free runs. Every count must be at least 1.
 
 Example:
     python3 scripts/run_sim_study.py --runs 20 --seed 42 --out study.csv
@@ -15,23 +15,19 @@ import csv
 import sys
 from time import perf_counter
 
+from sonartkbd import study
 from sonartkbd.config import default_config
-from sonartkbd.pipeline import VARIANTS
-from sonartkbd.study import (calibrate_variant, count_false_tracks,
-                             default_ambient_model, default_geometry,
-                             detection_summary, fit_observed_models,
-                             generate_calibration_data, run_study,
-                             scenario_from_config)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=20,
-                        help="Monte-Carlo runs per variant (default 20)")
-    parser.add_argument("--cal-runs", type=int, default=6,
-                        help="target-free datasets for calibration (default 6)")
-    parser.add_argument("--seed", type=int, default=42, help="master seed")
-    parser.add_argument("--free-seed", type=int, default=777,
+    parser.add_argument("--runs", type=int, default=study.N_RUNS,
+                        help=f"Monte-Carlo runs per variant (default {study.N_RUNS})")
+    parser.add_argument("--cal-runs", type=int, default=study.N_CAL_RUNS,
+                        help="target-free datasets for calibration "
+                             f"(default {study.N_CAL_RUNS})")
+    parser.add_argument("--seed", type=int, default=study.MASTER_SEED, help="master seed")
+    parser.add_argument("--free-seed", type=int, default=study.TARGET_FREE_SEED,
                         help="separate seed for the target-free verification")
     parser.add_argument("--workers", type=int, default=1,
                         help="process count for the run loop")
@@ -39,46 +35,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     t0 = perf_counter()
-    cfg = default_config("sim")
-    geom = default_geometry(cfg)
-    print("fitting ambient and whitening models ...")
-    ambient, _ = default_ambient_model(geom)
-    scenario = scenario_from_config(cfg, geom, ambient)
-    model, model0 = fit_observed_models(scenario, args.seed)
-
-    print(f"calibrating {len(VARIANTS)} variants on {args.cal_runs} "
-          f"target-free datasets ...")
-    cal_sets = generate_calibration_data(cfg, geom, ambient, args.cal_runs,
-                                         args.seed)
-    cfgs = {}
-    for variant in VARIANTS:
-        result = calibrate_variant(variant, cfg, cal_sets, model, model0,
-                                   args.seed)
-        cfgs[variant] = result.config
-        print(f"  {variant}: setting {result.setting:+.3g} after trace "
-              f"{result.trace}")
-
-    print(f"running {args.runs} target runs per variant ...")
-    with_target = run_study(cfgs, geom, ambient, model, model0, args.runs,
-                            args.seed, workers=args.workers)
-    print(f"running {args.runs} target-free runs per variant ...")
-    target_free = run_study(cfgs, geom, ambient, model, model0, args.runs,
-                            args.free_seed, target_free=True,
-                            workers=args.workers)
+    print(f"calibrating on {args.cal_runs} target-free datasets, then "
+          f"{args.runs} target and {args.runs} target-free runs per variant ...")
+    try:
+        result = study.calibrated_study(default_config("sim"), args.seed, args.free_seed,
+                                        args.runs, args.cal_runs, args.workers)
+    except (ValueError, RuntimeError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    for variant, cal in result.calibrations.items():
+        print(f"  {variant}: setting {cal.setting:+.3g} after trace {cal.trace}")
 
     header = ("variant", "detected", "median_eta_db", "median_range_m",
               "median_flips", "false_tracks")
-    rows = []
-    for variant in VARIANTS:
-        s = detection_summary(with_target[variant])
-        rows.append((
-            variant,
-            f"{s['n_detected']}/{s['n_runs']}",
-            f"{s['median_eta_db']:.2f}",
-            f"{s['median_range_m']:.0f}" if s["median_range_m"] else "-",
-            f"{s['median_flips']:.1f}",
-            count_false_tracks(target_free[variant]),
-        ))
+    rows = [(variant, f"{s['n_detected']}/{s['n_runs']}", f"{s['median_eta_db']:.2f}",
+             f"{s['median_range_m']:.0f}" if s["median_range_m"] else "-",
+             f"{s['median_flips']:.1f}", s["false_tracks"])
+            for variant, s in result.summaries.items()]
 
     widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(6)]
     for r in [header] + rows:

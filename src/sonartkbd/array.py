@@ -46,8 +46,8 @@ class ArrayGeometry:
     """
 
     positions: np.ndarray
-    speed_of_sound: float = 1500.0
-    sample_rate: float = 375.0
+    speed_of_sound: float
+    sample_rate: float
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -70,8 +70,8 @@ class ArrayGeometry:
         return self.positions.mean(axis=0)
 
     @classmethod
-    def ula(cls, n_elements: int, spacing: float, speed_of_sound: float = 1500.0,
-            sample_rate: float = 375.0) -> "ArrayGeometry":
+    def ula(cls, n_elements: int, spacing: float, speed_of_sound: float,
+            sample_rate: float) -> "ArrayGeometry":
         """Uniform linear array along the x axis, element 0 at the origin."""
         x = np.arange(n_elements, dtype=float) * spacing
         pos = np.column_stack([x, np.zeros(n_elements)])

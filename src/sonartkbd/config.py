@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
 
-CONFIG_VERSION = 2
+CONFIG_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -73,7 +73,6 @@ class PipelineConfig:
     clutter_bearing_var: float = 4.0
 
     ospa_cutoff_deg: float = 30.0
-    ospa_order: float = 1.0
 
     scenario_start_bearing_deg: float = -50.0
     scenario_start_range_m: float = 2000.0
@@ -122,7 +121,6 @@ _DOMAINS = (
     ("a finite number >= 0", lambda v: _finite(v) and v >= 0,
      ("filter_q_cv", "filter_q_dbsnr", "filter_p_psidot", "scenario_duration_s",
       "scenario_spread_exponent")),
-    ("a finite number >= 1", lambda v: _finite(v) and v >= 1, ("ospa_order",)),
     ("a finite number > 2", lambda v: _finite(v) and v > 2,  # t dof with finite variance
      ("tmodel_dof", "scenario_sim_dof")),
     ("in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1,

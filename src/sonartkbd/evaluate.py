@@ -11,13 +11,14 @@ from .config import PipelineConfig
 
 @dataclass(frozen=True)
 class OspaParams:
-    """Cutoff (degrees) and order for the bearing OSPA distance.
+    """Cutoff (degrees) for the bearing OSPA distance.
 
-    The values come already checked from `PipelineConfig`'s `ospa_*` fields.
+    The value comes already checked from `PipelineConfig.ospa_cutoff_deg`.
+    With 0 or 1 estimates against one truth the OSPA order cancels, so
+    there is none to set.
     """
 
     cutoff: float
-    order: float
 
 
 def ospa_single(estimates, truth_psi_deg: float, params: OspaParams) -> float:
@@ -79,7 +80,7 @@ class RunReport:
 def make_run_report(track, truth, cfg: PipelineConfig) -> RunReport:
     """Score one tracker pass (a `pipeline.TrackLog`) against ground truth.
 
-    OSPA uses the config's `ospa_*` values and a sustained confirmation
+    OSPA uses the config's `ospa_cutoff_deg` and a sustained confirmation
     needs `eval_min_confirm_run` consecutive confirmed batches.
     """
     psi_est = np.asarray(track.psi_deg, dtype=float)
@@ -87,7 +88,7 @@ def make_run_report(track, truth, cfg: PipelineConfig) -> RunReport:
     n = psi_est.shape[0]
     if truth.psi_deg.shape[0] != n:
         raise ValueError(f"track has {n} batches, truth has {truth.psi_deg.shape[0]}")
-    ospa_params = OspaParams(cfg.ospa_cutoff_deg, cfg.ospa_order)
+    ospa_params = OspaParams(cfg.ospa_cutoff_deg)
     ospa = np.array([
         ospa_single([psi_est[k]] if confirmed[k] else None, truth.psi_deg[k], ospa_params)
         for k in range(n)

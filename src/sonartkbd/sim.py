@@ -31,7 +31,7 @@ from .noise import NoiseStream, VarModel
 
 
 class ScenarioError(ValueError):
-    """Raised for degenerate paths or bearings."""
+    """Raised for degenerate paths, durations or bearings."""
 
 
 class DatasetError(ValueError):
@@ -83,7 +83,10 @@ class Scenario:
         if total > self.path_seconds + 1e-9:
             raise ScenarioError(
                 f"duration {total:.1f} s exceeds the {self.path_seconds:.1f} s traversal")
-        return int(np.floor(total / self.batch_period))
+        n = int(np.floor(total / self.batch_period))
+        if n == 0:
+            raise ScenarioError(f"duration {total:.3g} s is shorter than one batch")
+        return n
 
 
 def bearing_range_from_xy(geom: ArrayGeometry, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

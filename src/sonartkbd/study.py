@@ -1,4 +1,5 @@
-"""Simulation study drivers: default environment, calibration, Monte Carlo.
+"""Simulation studies: default environment, calibration, Monte Carlo,
+and `calibrated_study`, which runs calibration and then the paired study.
 
 Everything here is deterministic in the master seed. The generator's ambient
 model is learned once from a synthetic sea-noise recording (spatially white
@@ -32,6 +33,12 @@ AMBIENT_SEED = 101  # one synthetic sea recording shared by every study
 AMBIENT_SECONDS = 60.0
 OBSERVED_SECONDS = 120.0  # noise-only recording the trackers' models are fit to
 MAX_CALIBRATION_STEPS = 10  # sweep steps past the configured setting
+
+# the calibrated study of scripts/run_sim_study.py and acceptance criteria 06-08
+MASTER_SEED = 42
+TARGET_FREE_SEED = 777  # a separate seed for the target-free verification runs
+N_RUNS = 20  # Monte-Carlo runs per variant, with target and target free
+N_CAL_RUNS = 6  # target-free calibration datasets
 
 
 def default_geometry(cfg: PipelineConfig) -> ArrayGeometry:
@@ -141,20 +148,24 @@ class StudyRun:
     report: RunReport
 
 
+def _scored_pass(dataset: Dataset, variant: str, cfg: PipelineConfig, model: VarModel,
+                 model0: VarModel, lane: tuple) -> tuple[TrackLog, RunReport]:
+    """Track `variant` over `dataset` on seed lane `lane` + (variant index,), then score it."""
+    rng = spawn_rng(*lane, VARIANTS.index(variant))
+    track = run_tracker(dataset, variant, cfg, models_for_variant(variant, model, model0),
+                        rng)
+    return track, make_run_report(track, dataset.truth, cfg)
+
+
 def _one_run(args) -> list[StudyRun]:
     (run_idx, cfgs, geom, ambient, model, model0, master_seed, target_free) = args
     base_cfg = next(iter(cfgs.values()))
     scenario = scenario_from_config(base_cfg, geom, ambient)
     sim_rng = spawn_rng(master_seed, SEED_SIMULATE, run_idx)
     dataset = generate_dataset(scenario, sim_rng, target_free=target_free)
-    out = []
-    for variant, cfg in cfgs.items():
-        rng = spawn_rng(master_seed, SEED_TRACK, run_idx, VARIANTS.index(variant))
-        track = run_tracker(dataset, variant, cfg,
-                            models_for_variant(variant, model, model0), rng)
-        out.append(StudyRun(run_idx, variant, track,
-                            make_run_report(track, dataset.truth, cfg)))
-    return out
+    lane = (master_seed, SEED_TRACK, run_idx)
+    return [StudyRun(run_idx, variant, *_scored_pass(dataset, variant, cfg, model, model0, lane))
+            for variant, cfg in cfgs.items()]
 
 
 def run_study(cfgs: dict[str, PipelineConfig], geom: ArrayGeometry, ambient: VarModel,
@@ -178,11 +189,6 @@ def run_study(cfgs: dict[str, PipelineConfig], geom: ArrayGeometry, ambient: Var
         for item in batch:
             out[item.variant].append(item)
     return out
-
-
-def count_false_tracks(runs: list[StudyRun]) -> int:
-    """Sustained confirmations observed on target-free data."""
-    return sum(1 for r in runs if r.report.first_confirm is not None)
 
 
 @dataclass
@@ -209,11 +215,9 @@ def _false_tracks_on(datasets: list[Dataset], variant: str, cfg: PipelineConfig,
                      step: int) -> int:
     count = 0
     for i, ds in enumerate(datasets):
-        rng = spawn_rng(master_seed, SEED_CALIBRATE, i, step, VARIANTS.index(variant))
-        track = run_tracker(ds, variant, cfg,
-                            models_for_variant(variant, model, model0), rng)
-        if make_run_report(track, ds.truth, cfg).first_confirm is not None:
-            count += 1
+        lane = (master_seed, SEED_CALIBRATE, i, step)
+        _, report = _scored_pass(ds, variant, cfg, model, model0, lane)
+        count += report.first_confirm is not None
     return count
 
 
@@ -242,10 +246,14 @@ def calibrate_variant(variant: str, cfg: PipelineConfig, datasets: list[Dataset]
     rate lambda (each detection argues less). The first setting with zero
     sustained confirmations wins, plus `margin_steps` extra steps of
     slack against sampling error in the sweep datasets. Raises if no
-    candidate within `MAX_CALIBRATION_STEPS` is clean, or if `step_db` is
-    not a finite number > 0 or `margin_steps` is negative, either of which
-    would make the calibrated setting more sensitive than the configured one.
+    candidate within `MAX_CALIBRATION_STEPS` is clean, if `datasets` is
+    empty (a sweep over no data would pass its first step on no evidence),
+    or if `step_db` is not a finite number > 0 or `margin_steps` is
+    negative, either of which would make the calibrated setting more
+    sensitive than the configured one.
     """
+    if not datasets:
+        raise ValueError("calibration needs at least one target-free dataset")
     if not (np.isfinite(step_db) and step_db > 0):
         raise ValueError(f"step_db must be a finite number > 0, got {step_db!r}")
     if margin_steps < 0:
@@ -269,8 +277,9 @@ def calibrate_variant(variant: str, cfg: PipelineConfig, datasets: list[Dataset]
     return CalibrationResult(candidate, setting, trace)
 
 
-def detection_summary(runs: list[StudyRun]) -> dict:
-    """Median detection SNR/range and flip statistics for one variant."""
+def detection_summary(runs: list[StudyRun], free_runs: list[StudyRun]) -> dict:
+    """One variant's median detection SNR/range and flips on its target runs,
+    and its sustained confirmations (false tracks) on its target-free runs."""
     detected = [r for r in runs if r.report.first_confirm is not None]
     flips = [r.report.flips_after_detect for r in runs]
     return {
@@ -280,4 +289,41 @@ def detection_summary(runs: list[StudyRun]) -> dict:
         "median_range_m": float(np.median([r.report.detection_range_m for r in detected]))
         if detected else None,
         "median_flips": float(np.median(flips)) if flips else None,
+        "false_tracks": sum(r.report.first_confirm is not None for r in free_runs),
     }
+
+
+@dataclass
+class CalibratedStudy:
+    """Per variant: its calibration, its paired runs and their summary."""
+
+    calibrations: dict[str, CalibrationResult]
+    with_target: dict[str, list[StudyRun]]
+    target_free: dict[str, list[StudyRun]]
+    summaries: dict[str, dict]
+
+
+def calibrated_study(cfg: PipelineConfig, seed: int = MASTER_SEED,
+                     free_seed: int = TARGET_FREE_SEED, n_runs: int = N_RUNS,
+                     n_cal_runs: int = N_CAL_RUNS, workers: int = 1) -> CalibratedStudy:
+    """Calibrate every variant on `n_cal_runs` target-free datasets, then score
+    it on `n_runs` target runs from `seed` and `n_runs` target-free runs from
+    `free_seed`, in the default environment built from `cfg`. Raises
+    ValueError, before any work, if a count is below 1."""
+    for name, value in (("n_runs", n_runs), ("n_cal_runs", n_cal_runs),
+                        ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    geom = default_geometry(cfg)
+    ambient, _ = default_ambient_model(geom)
+    model, model0 = fit_observed_models(scenario_from_config(cfg, geom, ambient), seed)
+    cal_sets = generate_calibration_data(cfg, geom, ambient, n_cal_runs, seed)
+    calibrations = {v: calibrate_variant(v, cfg, cal_sets, model, model0, seed)
+                    for v in VARIANTS}
+    cfgs = {v: c.config for v, c in calibrations.items()}
+    with_target = run_study(cfgs, geom, ambient, model, model0, n_runs, seed,
+                            workers=workers)
+    target_free = run_study(cfgs, geom, ambient, model, model0, n_runs, free_seed,
+                            target_free=True, workers=workers)
+    summaries = {v: detection_summary(with_target[v], target_free[v]) for v in VARIANTS}
+    return CalibratedStudy(calibrations, with_target, target_free, summaries)

@@ -1,9 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `python3 -m pytest tests/test_acceptance.py -v -s` to see the
-per-criterion lines. Criteria 06-08 share one Monte-Carlo study fixture
-(calibration plus 20 target runs plus 20 target-free runs); everything else
-is self-contained and fast.
+per-criterion lines. Criteria 06-08 share one Monte-Carlo study fixture,
+`study.calibrated_study` with its default protocol (calibration on 6
+target-free datasets, then 20 target runs plus 20 target-free runs);
+everything else is self-contained and fast.
 """
 
 from dataclasses import replace
@@ -17,20 +18,11 @@ from sonartkbd.array import (ArrayGeometry, apply_steering, delay_spectrum,
 from sonartkbd.config import default_config
 from sonartkbd.evaluate import OspaParams, ospa_single
 from sonartkbd.noise import NoiseStream, VarModel, fit_var, whiten
-from sonartkbd.pipeline import VARIANTS, filter_params_from_config
+from sonartkbd.pipeline import filter_params_from_config
 from sonartkbd.stats import TModelParams, gauss_log_lr, t_log_lr
-from sonartkbd.study import (calibrate_variant, count_false_tracks,
-                             default_ambient_model, default_geometry,
-                             detection_summary, fit_observed_models,
-                             generate_calibration_data, run_study,
-                             scenario_from_config)
+from sonartkbd.study import N_RUNS, calibrated_study
 from sonartkbd.tkbd import BernoulliBelief, update
 from test_stats import t_logpdf_full
-
-MASTER_SEED = 42
-TARGET_FREE_SEED = 777
-N_RUNS = 20
-N_CAL_RUNS = 6
 
 
 def criterion(n, ok, detail):
@@ -48,25 +40,8 @@ def stacked_shift_operator(n, shifts):
 def study():
     """Calibrate every variant, then run the paired Monte-Carlo studies."""
     t0 = perf_counter()
-    cfg = default_config("sim")
-    geom = default_geometry(cfg)
-    ambient, _ = default_ambient_model(geom)
-    scenario = scenario_from_config(cfg, geom, ambient)
-    model, model0 = fit_observed_models(scenario, MASTER_SEED)
-    cal_sets = generate_calibration_data(cfg, geom, ambient, N_CAL_RUNS,
-                                         MASTER_SEED)
-    cfgs = {v: calibrate_variant(v, cfg, cal_sets, model, model0,
-                                 MASTER_SEED).config for v in VARIANTS}
-    with_target = run_study(cfgs, geom, ambient, model, model0, N_RUNS,
-                            MASTER_SEED)
-    target_free = run_study(cfgs, geom, ambient, model, model0, N_RUNS,
-                            TARGET_FREE_SEED, target_free=True)
-    return {
-        "with_target": with_target,
-        "target_free": target_free,
-        "summaries": {v: detection_summary(with_target[v]) for v in VARIANTS},
-        "wall_s": perf_counter() - t0,
-    }
+    summaries = calibrated_study(default_config("sim")).summaries
+    return {"summaries": summaries, "wall_s": perf_counter() - t0}
 
 
 def test_criterion_01_collapsed_ratio_matches_dense_t():
@@ -222,14 +197,14 @@ def test_criterion_07_tail_model_steadies_confirmation(study):
 
 def test_criterion_08_no_false_tracks_when_calibrated(study):
     """Calibrated variants stay silent on fresh target-free runs."""
-    counts = {v: count_false_tracks(study["target_free"][v]) for v in VARIANTS}
+    counts = {v: s["false_tracks"] for v, s in study["summaries"].items()}
     ok = all(c == 0 for c in counts.values())
     detail = ", ".join(f"{v} {c}/{N_RUNS}" for v, c in counts.items())
     criterion(8, ok, f"sustained false confirmations: {detail} (need all 0)")
 
 
 def test_criterion_09_ospa_edge_cases():
-    p = OspaParams(cutoff=30.0, order=1.0)
+    p = OspaParams(cutoff=30.0)
     miss = ospa_single(None, 12.0, p)
     hit = ospa_single([12.0], 12.0, p)
     far = ospa_single([-80.0], 12.0, p)

@@ -222,6 +222,15 @@ def test_cfar_window_wider_than_grid_is_rejected(workdir, tmp_path, capsys, comm
     assert "171 cells" in line and "91-cell" in line
 
 
+def test_scenario_shorter_than_one_batch_is_rejected(tmp_path, capsys):
+    """A scenario with no whole batch writes no dataset instead of an empty one."""
+    save_config(replace(default_config("sim"), scenario_duration_s=0.1), tmp_path / "c.ini")
+    assert main(["simulate", "--config", str(tmp_path / "c.ini"),
+                 "--out", str(tmp_path / "ds")]) == 1
+    assert "shorter than one" in _one_error_line(capsys)
+    assert not (tmp_path / "ds").exists()
+
+
 def test_track_takes_the_batch_layout_from_the_dataset(workdir, tmp_path):
     """A config whose simulation batch length disagrees with the data changes nothing."""
     other = replace(load_config(workdir / "config.ini"), batch_samples=32)

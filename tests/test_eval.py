@@ -16,7 +16,7 @@ from sonartkbd.pipeline import TrackLog
 from sonartkbd.sim import ScenarioTruth
 
 
-P = OspaParams(cutoff=30.0, order=1.0)
+P = OspaParams(cutoff=30.0)
 
 
 def truth_const(n, psi=0.0, eta=-5.0, rng_m=500.0):
@@ -43,11 +43,9 @@ def test_ospa_edges():
 
 
 def test_ospa_params_validation():
-    """OSPA values are checked once, where they are set: in the config."""
+    """The OSPA cutoff is checked once, where it is set: in the config."""
     with pytest.raises(ConfigError):
         replace(default_config(), ospa_cutoff_deg=0.0)
-    with pytest.raises(ConfigError):
-        replace(default_config(), ospa_order=0.5)
 
 
 @settings(max_examples=100, deadline=None)

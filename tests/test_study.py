@@ -1,18 +1,40 @@
-"""Monte-Carlo study engine: results do not depend on how runs are spread."""
+"""Monte-Carlo study engine: results do not depend on how runs are spread,
+and `calibrated_study` is exactly the calibrate-then-study protocol."""
 
+import importlib.util
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from sonartkbd import study
 from sonartkbd.config import default_config
 from sonartkbd.pipeline import VARIANTS, TrackLog
-from sonartkbd.study import default_ambient_model, default_geometry, run_study
+from sonartkbd.study import (calibrate_variant, calibrated_study, default_ambient_model,
+                             default_geometry, detection_summary, fit_observed_models,
+                             generate_calibration_data, run_study, scenario_from_config)
+
+
+def short_config():
+    """The sim profile on a 100-batch scenario with few particles."""
+    return replace(default_config("sim"), scenario_duration_s=17.1,
+                   filter_n_persist=400, filter_n_birth=100)
+
+
+def assert_same_logs(one: dict, two: dict):
+    for variant in VARIANTS:
+        assert [r.run for r in one[variant]] == [r.run for r in two[variant]]
+        for a, b in zip(one[variant], two[variant]):
+            assert a.track.batch_index.size == 100
+            for field in fields(TrackLog):
+                assert np.array_equal(getattr(a.track, field.name),
+                                      getattr(b.track, field.name)), (variant, field.name)
 
 
 def test_worker_count_does_not_change_track_logs():
     """Two worker processes give the same logs as one, field for field, bit for bit."""
-    cfg = replace(default_config("sim"), scenario_duration_s=17.1,
-                  filter_n_persist=400, filter_n_birth=100)
+    cfg = short_config()
     geom = default_geometry(cfg)
     ambient, ambient0 = default_ambient_model(geom)
     cfgs = dict.fromkeys(VARIANTS, cfg)
@@ -20,8 +42,54 @@ def test_worker_count_does_not_change_track_logs():
                                 master_seed=5, workers=workers) for workers in (1, 2))
     for variant in VARIANTS:
         assert [r.run for r in pooled[variant]] == [0, 1]
-        for one, two in zip(serial[variant], pooled[variant]):
-            assert one.track.batch_index.size == 100
-            for field in fields(TrackLog):
-                assert np.array_equal(getattr(one.track, field.name),
-                                      getattr(two.track, field.name)), (variant, field.name)
+    assert_same_logs(serial, pooled)
+
+
+def test_calibrated_study_equals_the_hand_composed_protocol():
+    """The engine draws every random stream exactly as the steps run one by one."""
+    cfg = short_config()
+    got = calibrated_study(cfg, n_runs=1, n_cal_runs=1)
+
+    seed, free_seed = study.MASTER_SEED, study.TARGET_FREE_SEED
+    geom = default_geometry(cfg)
+    ambient, _ = default_ambient_model(geom)
+    model, model0 = fit_observed_models(scenario_from_config(cfg, geom, ambient), seed)
+    cal_sets = generate_calibration_data(cfg, geom, ambient, 1, seed)
+    cfgs = {}
+    for variant in VARIANTS:
+        want = calibrate_variant(variant, cfg, cal_sets, model, model0, seed)
+        assert got.calibrations[variant] == want
+        cfgs[variant] = want.config
+    with_target = run_study(cfgs, geom, ambient, model, model0, 1, seed)
+    target_free = run_study(cfgs, geom, ambient, model, model0, 1, free_seed,
+                            target_free=True)
+    assert_same_logs(got.with_target, with_target)
+    assert_same_logs(got.target_free, target_free)
+    for variant in VARIANTS:
+        assert got.summaries[variant] == detection_summary(with_target[variant],
+                                                           target_free[variant])
+
+
+def test_calibration_refuses_no_datasets():
+    """A sweep over no data would call its first setting clean."""
+    with pytest.raises(ValueError, match="at least one"):
+        calibrate_variant("tvar", default_config("sim"), [], None, None, 0)
+
+
+def load_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_sim_study.py"
+    spec = importlib.util.spec_from_file_location("run_sim_study", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("option, name", [("--runs", "n_runs"), ("--cal-runs", "n_cal_runs"),
+                                          ("--workers", "workers")])
+def test_study_script_refuses_a_count_below_one(option, name, monkeypatch, capsys):
+    """One error line and exit 1, before the environment is even built."""
+    def no_work(*args):
+        raise AssertionError("the study started")
+    monkeypatch.setattr(study, "default_ambient_model", no_work)
+    assert load_script().main([option, "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {name} must be >= 1, got 0"]
