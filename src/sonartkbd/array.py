@@ -78,12 +78,13 @@ class ArrayGeometry:
         return cls(pos, speed_of_sound, sample_rate)
 
 
-def steering_delays(geom: ArrayGeometry, bearing_deg: float) -> np.ndarray:
+def steering_delays(geom: ArrayGeometry, bearing_deg) -> np.ndarray:
     """Per-element plane-wave delays in seconds, relative to element 0.
 
     A far-field source at bearing psi produces wavefronts whose arrival
     time at element m trails element 0 by (p_m - p_0) . u(psi) / c with
-    u(psi) = (sin psi, cos psi).
+    u(psi) = (sin psi, cos psi). Shape (M,) for one bearing, (M, G) for a
+    (G,) array of bearings.
     """
     psi = np.deg2rad(bearing_deg)
     u = np.array([np.sin(psi), np.cos(psi)])
@@ -91,32 +92,33 @@ def steering_delays(geom: ArrayGeometry, bearing_deg: float) -> np.ndarray:
     return rel @ u / geom.speed_of_sound
 
 
-def delay_spectrum(tau: float, n_samples: int, sample_rate: float) -> np.ndarray:
+def delay_spectrum(tau, n_samples: int, sample_rate: float) -> np.ndarray:
     """DFT spectrum of the length-`n_samples` fractional delay by `tau` seconds.
 
     Requires an even length so the Nyquist bin exists; its factor is the
-    real cos(tau pi fs), all other bins get unit-modulus phase ramps.
+    real cos(tau pi fs), all other bins get unit-modulus phase ramps. An
+    array of delays gives one spectrum per delay along a new last axis.
     """
     n = int(n_samples)
     if n % 2 != 0 or n < 2:
         raise BatchShapeError(f"delay spectrum needs an even length, got {n}")
-    shift = tau * sample_rate  # delay in samples
+    shift = np.asarray(tau, dtype=float) * sample_rate  # delay in samples
     k = np.arange(n)
     signed = np.where(k <= n // 2, k, k - n)
-    gamma = np.exp(-2j * np.pi * signed * shift / n)
-    gamma[n // 2] = np.cos(np.pi * shift)
+    gamma = np.exp(-2j * np.pi * signed * shift[..., None] / n)
+    gamma[..., n // 2] = np.cos(np.pi * shift)
     return gamma
 
 
-def make_steering(geom: ArrayGeometry, bearing_deg: float, n_samples: int) -> np.ndarray:
-    """Per-channel steering spectra for one bearing, shape (M, N) complex.
+def make_steering(geom: ArrayGeometry, bearing_deg, n_samples: int) -> np.ndarray:
+    """Per-channel steering spectra, (M, N) complex for one bearing.
 
     Row m is the DFT spectrum of the channel-m delay operator: applying it
     to a source batch gives the delayed copy on that channel, applying its
-    conjugate to a received channel aligns it back on element 0.
+    conjugate to a received channel aligns it back on element 0. A (G,)
+    array of bearings gives (M, G, N).
     """
-    taus = steering_delays(geom, bearing_deg)
-    return np.vstack([delay_spectrum(t, n_samples, geom.sample_rate) for t in taus])
+    return delay_spectrum(steering_delays(geom, bearing_deg), n_samples, geom.sample_rate)
 
 
 def apply_steering(spectra: np.ndarray, source: np.ndarray) -> np.ndarray:
@@ -149,9 +151,8 @@ class BeamformGrid:
         self.bearings_deg = np.asarray(bearings_deg, dtype=float)
         self.n_samples = int(n_samples)
         half = self.n_samples // 2 + 1
-        steer = np.stack([make_steering(geom, b, n_samples)[:, :half]
-                          for b in self.bearings_deg], axis=-1)  # (M, N/2+1, G)
-        self._steer = np.ascontiguousarray(steer.conj().transpose(1, 0, 2))
+        steer = make_steering(geom, self.bearings_deg, n_samples)[..., :half]  # (M, G, N/2+1)
+        self._steer = np.ascontiguousarray(steer.conj().transpose(2, 0, 1))
 
     def energies(self, batches: np.ndarray) -> np.ndarray:
         """Beamformed energy at every grid bearing, (K, G), for a (K, N, M) stack.

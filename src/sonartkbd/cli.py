@@ -27,9 +27,8 @@ from .config import ConfigError, default_config, load_config, save_config
 from .detect import cfar_detections
 from .evaluate import aggregate_quantiles, make_run_report
 from .noise import fit_var, load_var, save_var, select_order
-from .pipeline import (VARIANTS, beam_energies, bearing_beamformer, cfar_params_from_config,
-                       load_track_log, run_tracker, save_detections, save_track_log,
-                       spawn_rng)
+from .pipeline import (VARIANTS, beam_energies, bearing_beamformer, load_track_log,
+                       run_tracker, save_detections, save_track_log, spawn_rng)
 from .sim import generate_dataset, load_dataset, save_dataset
 from .study import (SEED_SIMULATE, SEED_TRACK, calibrate_variant, default_ambient_model,
                     default_geometry, scenario_from_config)
@@ -172,7 +171,7 @@ def cmd_detect(args) -> int:
     ds = load_dataset(args.data)
     grid = bearing_beamformer(ds, cfg)
     energies, _, _ = beam_energies(ds, grid)
-    found = cfar_detections(energies, cfar_params_from_config(cfg), grid.bearings_deg)
+    found = cfar_detections(energies, cfg, grid.bearings_deg)
     rows = [(k, float(bearing)) for k, bearings in enumerate(found) for bearing in bearings]
     save_detections(rows, args.out)
     print(f"wrote {len(rows)} detections to {args.out}")

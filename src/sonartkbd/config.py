@@ -11,7 +11,9 @@ profile's defaults and overrides what it names.
 
 This module is the one home of every tunable's default and domain: each
 field has one domain in `_DOMAINS`, checked whenever a `PipelineConfig` is
-built, so the classes the pipeline derives from it do not check again.
+built, so the classes the pipeline derives from it do not check again. The
+Bernoulli filter, the CFAR detector and the clutter model read the record
+itself.
 """
 
 from __future__ import annotations
@@ -51,26 +53,26 @@ class PipelineConfig:
 
     tmodel_dof: float = 3.0
 
-    filter_prob_survival: float = 1.0 - 1e-6
-    filter_prob_birth: float = 2e-10
-    filter_q_cv: float = 0.13
-    filter_q_dbsnr: float = 0.05
-    filter_p_psidot: float = 0.001
-    filter_snr_lo_db: float = -12.0
+    filter_prob_survival: float = 1.0 - 1e-6  # per batch
+    filter_prob_birth: float = 2e-10  # per batch
+    filter_q_cv: float = 0.13  # bearing-rate process noise std, deg/s^2
+    filter_q_dbsnr: float = 0.05  # SNR process noise std, dB/s
+    filter_p_psidot: float = 0.001  # newborn bearing-rate variance, deg^2/s^2
+    filter_snr_lo_db: float = -12.0  # births draw SNR inside [snr_lo_db, snr_hi_db]
     filter_snr_hi_db: float = -2.0
-    filter_eta_step_db: float = 1.0
-    filter_n_persist: int = 2000
-    filter_n_birth: int = 500
-    filter_confirm_threshold: float = 0.9
+    filter_eta_step_db: float = 1.0  # SNR step of the birth field grid
+    filter_n_persist: int = 2000  # particles kept after resampling
+    filter_n_birth: int = 500  # birth particles per batch
+    filter_confirm_threshold: float = 0.9  # q level gamma above which a track is reported
 
-    cfar_guard_cells: int = 2
-    cfar_train_cells: int = 16
-    cfar_train_rows: int = 10
-    cfar_alpha: float = 1e-3
+    cfar_guard_cells: int = 2  # per side of the cell under test
+    cfar_train_cells: int = 16  # per side, beyond the guard band
+    cfar_train_rows: int = 10  # past rows pooled with the current one
+    cfar_alpha: float = 1e-3  # false-alarm probability per cell
 
-    clutter_rate: float = 0.2
-    clutter_prob_detect: float = 0.9
-    clutter_bearing_var: float = 4.0
+    clutter_rate: float = 0.2  # lambda, clutter detections per batch, uniform over [-90, 90]
+    clutter_prob_detect: float = 0.9  # p_d of the target
+    clutter_bearing_var: float = 4.0  # variance of a target bearing, deg^2
 
     ospa_cutoff_deg: float = 30.0
 

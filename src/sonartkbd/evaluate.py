@@ -59,18 +59,16 @@ def flip_count(confirmed: np.ndarray, start: int | None = None) -> int:
 
 @dataclass
 class RunReport:
-    """Per-run evaluation: per-batch metrics plus detection summary.
+    """Per-run evaluation: per-batch OSPA plus detection summary.
 
     `first_confirm` is the start of the first sustained confirmation run
     (None if never); detection range and SNR are the ground truth at that
     batch. OSPA counts the estimate only while confirmed, so an unconfirmed
-    filter scores the cutoff.
+    filter scores the cutoff. The per-batch existence and confirmation
+    series stay in the scored `TrackLog`.
     """
 
-    batch_index: np.ndarray
     ospa: np.ndarray
-    exist_prob: np.ndarray
-    confirmed: np.ndarray
     first_confirm: int | None
     detection_range_m: float | None
     detection_eta_db: float | None
@@ -95,10 +93,7 @@ def make_run_report(track, truth, cfg: PipelineConfig) -> RunReport:
     ])
     first = sustained_confirmation(confirmed, cfg.eval_min_confirm_run)
     return RunReport(
-        batch_index=np.arange(n),
         ospa=ospa,
-        exist_prob=np.asarray(track.exist_prob, dtype=float),
-        confirmed=confirmed,
         first_confirm=first,
         detection_range_m=float(truth.range_m[first]) if first is not None else None,
         detection_eta_db=float(truth.eta_db[first]) if first is not None else None,

@@ -131,6 +131,8 @@ def select_order(data: np.ndarray, max_order: int) -> tuple[int, np.ndarray]:
     AIC(p) = T ln det Sigma_w(p) + 2 p M^2. Returns the winning order and
     the full score vector for diagnostics.
     """
+    if max_order < 0:
+        raise FitError(f"max_order must be >= 0, got {max_order}")
     y = np.asarray(data, dtype=float)
     t_total, m = y.shape
     scores = np.empty(max_order + 1)

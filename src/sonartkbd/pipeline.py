@@ -26,11 +26,11 @@ import numpy as np
 
 from .array import BeamformGrid
 from .config import PipelineConfig
-from .detect import CfarParams, ClutterModel, cfar_detections, detection_log_lr
+from .detect import cfar_detections, detection_log_lr
 from .noise import VarModel, whiten
 from .sim import Dataset
 from .stats import TModelParams, gauss_log_lr, t_log_lr
-from .tkbd import (ETA_DB, PSI, BernoulliBelief, FilterParams, LikelihoodField,
+from .tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, BernoulliBelief, LikelihoodField,
                    extract, predict, update)
 
 VARIANTS = ("tvar", "tvar0", "gvar", "cfar")
@@ -59,32 +59,11 @@ class TrackLog:
     confirmed: np.ndarray
 
 
-def filter_params_from_config(cfg: PipelineConfig, batch_period: float) -> FilterParams:
-    return FilterParams(
-        prob_survival=cfg.filter_prob_survival,
-        prob_birth=cfg.filter_prob_birth,
-        batch_period=batch_period,
-        q_cv=cfg.filter_q_cv,
-        q_dbsnr=cfg.filter_q_dbsnr,
-        p_psidot=cfg.filter_p_psidot,
-        snr_lo_db=cfg.filter_snr_lo_db,
-        snr_hi_db=cfg.filter_snr_hi_db,
-        n_persist=cfg.filter_n_persist,
-        n_birth=cfg.filter_n_birth,
-        confirm_threshold=cfg.filter_confirm_threshold,
-    )
-
-
-def cfar_params_from_config(cfg: PipelineConfig) -> CfarParams:
-    return CfarParams(cfg.cfar_guard_cells, cfg.cfar_train_cells,
-                      cfg.cfar_train_rows, cfg.cfar_alpha)
-
-
 def bearing_beamformer(dataset: Dataset, cfg: PipelineConfig) -> BeamformGrid:
     """Beamformer for the dataset's array and batch length, -90..90 deg by the grid step."""
     step = cfg.grid_bearing_step_deg
-    return BeamformGrid(dataset.geometry, np.arange(-90.0, 90.0 + 0.5 * step, step),
-                        dataset.n_per_batch)
+    bearings = np.arange(-BEARING_LIMIT_DEG, BEARING_LIMIT_DEG + 0.5 * step, step)
+    return BeamformGrid(dataset.geometry, bearings, dataset.n_per_batch)
 
 
 def beam_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None = None
@@ -125,15 +104,13 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
     eta_grid = np.arange(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db + 1e-9,
                          cfg.filter_eta_step_db)
     if variant == "cfar":
-        clutter = ClutterModel(cfg.clutter_rate, cfg.clutter_prob_detect,
-                               cfg.clutter_bearing_var)
         energies, _, _ = beam_energies(dataset, grid)
-        detections = cfar_detections(energies, cfar_params_from_config(cfg), bearings)
+        detections = cfar_detections(energies, cfg, bearings)
 
         def detection_measurement(found):
-            return (lambda psi_deg, eta_db: detection_log_lr(found, psi_deg, clutter),
+            return (lambda psi_deg, eta_db: detection_log_lr(found, psi_deg, cfg),
                     LikelihoodField(bearings, eta_grid,
-                                    lambda: detection_log_lr(found, bearings, clutter)[:, None]))
+                                    lambda: detection_log_lr(found, bearings, cfg)[:, None]))
         return [detection_measurement(found) for found in detections]
     if model is None:
         raise ValueError(f"variant {variant!r} needs a noise model")
@@ -161,22 +138,21 @@ def run_tracker(dataset: Dataset, variant: str, cfg: PipelineConfig,
                 model: VarModel | None, rng: np.random.Generator) -> TrackLog:
     """Run one tracker variant over a dataset, batch by batch."""
     period = dataset.n_per_batch / dataset.geometry.sample_rate
-    fparams = filter_params_from_config(cfg, period)
     measurements = make_likelihood(variant, dataset, cfg, model)
-    belief = BernoulliBelief.empty(fparams, rng)
+    belief = BernoulliBelief.empty(cfg, rng)
     prev_field: LikelihoodField | None = None
     n = dataset.n_batches
     out = {key: np.empty(n) for key in
            ("exist_prob", "psi_deg", "psidot", "eta_db")}
     confirmed = np.zeros(n, dtype=bool)
     for k, measurement in enumerate(measurements):
-        belief = predict(belief, fparams, prev_field, rng)
+        belief = predict(belief, cfg, period, prev_field, rng)
         if measurement is not None:
             loglr, field = measurement
             belief = update(belief, lambda states: loglr(states[:, PSI], states[:, ETA_DB]),
-                            fparams, rng)
+                            cfg, rng)
             prev_field = field
-        est = extract(belief, fparams)
+        est = extract(belief, cfg)
         out["exist_prob"][k] = est.exist_prob
         out["psi_deg"][k] = est.state.psi_deg
         out["psidot"][k] = est.state.psidot

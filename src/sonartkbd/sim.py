@@ -31,7 +31,7 @@ from .noise import NoiseStream, VarModel
 
 
 class ScenarioError(ValueError):
-    """Raised for degenerate paths, durations or bearings."""
+    """Raised for degenerate paths, durations or bearings, or a mismatched ambient model."""
 
 
 class DatasetError(ValueError):
@@ -67,6 +67,9 @@ class Scenario:
         wp = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
         if wp.shape[0] < 2 or wp.shape[1] != 2:
             raise ScenarioError(f"waypoints must be (W>=2, 2), got {wp.shape}")
+        if self.ambient.n_channels != self.geometry.n_channels:
+            raise ScenarioError(f"ambient model has {self.ambient.n_channels} channels, "
+                                f"the array has {self.geometry.n_channels}")
         object.__setattr__(self, "waypoints", wp)
 
     @property

@@ -8,6 +8,14 @@ batch's likelihood field; the measurement update multiplies weights by a
 pluggable per-particle likelihood ratio and folds the particle-averaged
 ratio I into q through q <- q I / (1 - q + q I). No detector sits in front
 of the filter, the raw (whitened) batch drives it directly.
+
+The filter steps read their tuning from the `PipelineConfig`'s `filter_*`
+fields: survival and birth probabilities per batch, process-noise standard
+deviations `q_cv` (bearing rate, deg/s^2) and `q_dbsnr` (SNR, dB/s), the
+newborn bearing-rate variance `p_psidot` (deg^2/s^2), the SNR prior window
+[snr_lo_db, snr_hi_db] for births, the cloud sizes and the confirmation
+threshold. The batch period N / fs in seconds belongs to the data, so
+`predict` and `motion_step` take it as an argument.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import PipelineConfig
 
 log = logging.getLogger(__name__)
 
@@ -35,32 +45,6 @@ class TargetState:
     eta_db: float
 
 
-@dataclass(frozen=True)
-class FilterParams:
-    """Bernoulli filter tuning, built by `pipeline.filter_params_from_config`.
-
-    `batch_period` is the batch spacing N / fs of the data in seconds; the
-    other values come already checked from `PipelineConfig`'s `filter_*`
-    fields. `prob_survival` and `prob_birth` are per batch, `q_cv` and
-    `q_dbsnr` are the process-noise standard deviations for bearing rate
-    (deg/s^2) and SNR (dB/s), `p_psidot` the variance of a newborn bearing
-    rate (deg^2/s^2). Births draw SNR inside [snr_lo_db, snr_hi_db];
-    `confirm_threshold` is the q level gamma above which a track is reported.
-    """
-
-    batch_period: float
-    prob_survival: float
-    prob_birth: float
-    q_cv: float
-    q_dbsnr: float
-    p_psidot: float
-    snr_lo_db: float
-    snr_hi_db: float
-    n_persist: int
-    n_birth: int
-    confirm_threshold: float
-
-
 @dataclass
 class BernoulliBelief:
     """Existence probability plus particles (n, 3) with normalised weights."""
@@ -70,13 +54,13 @@ class BernoulliBelief:
     weights: np.ndarray
 
     @classmethod
-    def empty(cls, params: FilterParams, rng: np.random.Generator) -> "BernoulliBelief":
+    def empty(cls, cfg: PipelineConfig, rng: np.random.Generator) -> "BernoulliBelief":
         """Zero-existence belief with a uniform placeholder cloud."""
-        n = params.n_persist
+        n = cfg.filter_n_persist
         states = np.column_stack([
             rng.uniform(-BEARING_LIMIT_DEG, BEARING_LIMIT_DEG, n),
-            rng.normal(0.0, math.sqrt(params.p_psidot), n),
-            rng.uniform(params.snr_lo_db, params.snr_hi_db, n),
+            rng.normal(0.0, math.sqrt(cfg.filter_p_psidot), n),
+            rng.uniform(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db, n),
         ])
         return cls(0.0, states, np.full(n, 1.0 / n))
 
@@ -110,18 +94,20 @@ def reflect_bearing(psi_deg: np.ndarray) -> np.ndarray:
     return folded - BEARING_LIMIT_DEG
 
 
-def motion_step(states: np.ndarray, params: FilterParams,
+def motion_step(states: np.ndarray, cfg: PipelineConfig, batch_period: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Nearly-constant-velocity transition for the particle array.
 
-    psi gains T psi_dot plus half-step acceleration noise, psi_dot and
-    eta_dB random walk with standard deviations q_cv T and q_dbsnr T. With
-    zero process noise the deterministic part moves psi only.
+    Over one batch period T, psi gains T psi_dot plus half-step
+    acceleration noise, psi_dot and eta_dB random walk with standard
+    deviations q_cv T and q_dbsnr T. With zero process noise the
+    deterministic part moves psi only.
     """
-    t = params.batch_period
+    t = batch_period
     n = states.shape[0]
-    w_cv = rng.normal(0.0, params.q_cv, n) if params.q_cv > 0 else np.zeros(n)
-    w_db = rng.normal(0.0, params.q_dbsnr, n) if params.q_dbsnr > 0 else np.zeros(n)
+    q_cv, q_dbsnr = cfg.filter_q_cv, cfg.filter_q_dbsnr
+    w_cv = rng.normal(0.0, q_cv, n) if q_cv > 0 else np.zeros(n)
+    w_db = rng.normal(0.0, q_dbsnr, n) if q_dbsnr > 0 else np.zeros(n)
     out = states.copy()
     out[:, PSI] += t * states[:, PSIDOT] + 0.5 * t * t * w_cv
     out[:, PSIDOT] += t * w_cv
@@ -130,7 +116,7 @@ def motion_step(states: np.ndarray, params: FilterParams,
     return out
 
 
-def sample_birth(field: LikelihoodField | None, params: FilterParams, n: int,
+def sample_birth(field: LikelihoodField | None, cfg: PipelineConfig, n: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Draw n birth particles from the previous batch's likelihood field.
 
@@ -141,7 +127,7 @@ def sample_birth(field: LikelihoodField | None, params: FilterParams, n: int,
     """
     if field is None:
         psi = rng.uniform(-BEARING_LIMIT_DEG, BEARING_LIMIT_DEG, n)
-        eta = rng.uniform(params.snr_lo_db, params.snr_hi_db, n)
+        eta = rng.uniform(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db, n)
     else:
         loglr = field.grid
         flat = loglr.ravel()
@@ -158,8 +144,8 @@ def sample_birth(field: LikelihoodField | None, params: FilterParams, n: int,
         psi = field.psi_grid[pi] + rng.uniform(-0.5, 0.5, n) * dpsi
         eta = field.eta_db_grid[ei] + rng.uniform(-0.5, 0.5, n) * deta
         psi = np.clip(psi, -BEARING_LIMIT_DEG, BEARING_LIMIT_DEG)
-        eta = np.clip(eta, params.snr_lo_db, params.snr_hi_db)
-    psidot = rng.normal(0.0, math.sqrt(params.p_psidot), n)
+        eta = np.clip(eta, cfg.filter_snr_lo_db, cfg.filter_snr_hi_db)
+    psidot = rng.normal(0.0, math.sqrt(cfg.filter_p_psidot), n)
     return np.column_stack([psi, psidot, eta])
 
 
@@ -167,9 +153,9 @@ def _cell_step(grid: np.ndarray) -> float:
     return float(grid[1] - grid[0]) if grid.size > 1 else 0.0
 
 
-def predict(belief: BernoulliBelief, params: FilterParams,
+def predict(belief: BernoulliBelief, cfg: PipelineConfig, batch_period: float,
             field: LikelihoodField | None, rng: np.random.Generator) -> BernoulliBelief:
-    """Bernoulli time update.
+    """Bernoulli time update over one batch period (seconds).
 
     q_pred = p_b (1 - q) + p_s q; survivors keep their weights scaled by
     p_s q / q_pred after a motion step, and n_birth birth particles share
@@ -177,14 +163,14 @@ def predict(belief: BernoulliBelief, params: FilterParams,
     cloud is left in place with q = 0.
     """
     q = belief.exist_prob
-    q_pred = params.prob_birth * (1.0 - q) + params.prob_survival * q
+    p_s, p_b, n_birth = cfg.filter_prob_survival, cfg.filter_prob_birth, cfg.filter_n_birth
+    q_pred = p_b * (1.0 - q) + p_s * q
     if q_pred <= 0.0:
         return BernoulliBelief(0.0, belief.states.copy(), belief.weights.copy())
-    survivors = motion_step(belief.states, params, rng)
-    births = sample_birth(field, params, params.n_birth, rng)
-    w_surv = belief.weights * (params.prob_survival * q / q_pred)
-    w_birth = np.full(params.n_birth,
-                      params.prob_birth * (1.0 - q) / q_pred / params.n_birth)
+    survivors = motion_step(belief.states, cfg, batch_period, rng)
+    births = sample_birth(field, cfg, n_birth, rng)
+    w_surv = belief.weights * (p_s * q / q_pred)
+    w_birth = np.full(n_birth, p_b * (1.0 - q) / q_pred / n_birth)
     states = np.vstack([survivors, births])
     weights = np.concatenate([w_surv, w_birth])
     total = weights.sum()
@@ -211,7 +197,7 @@ def systematic_resample(weights: np.ndarray, n: int, rng: np.random.Generator) -
     return np.searchsorted(cumulative, positions)
 
 
-def update(belief: BernoulliBelief, loglr_fn, params: FilterParams,
+def update(belief: BernoulliBelief, loglr_fn, cfg: PipelineConfig,
            rng: np.random.Generator) -> BernoulliBelief:
     """Bernoulli measurement update with a pluggable likelihood ratio.
 
@@ -254,7 +240,7 @@ def update(belief: BernoulliBelief, loglr_fn, params: FilterParams,
             q_new = expo / (1.0 + expo)
     weights = scaled / total
     states = belief.states
-    n_keep = params.n_persist
+    n_keep = cfg.filter_n_persist
     if states.shape[0] > n_keep or effective_sample_size(weights) < 0.5 * n_keep:
         idx = systematic_resample(weights, n_keep, rng)
         states = states[idx]
@@ -273,11 +259,11 @@ class TrackEstimate:
     state: TargetState
 
 
-def extract(belief: BernoulliBelief, params: FilterParams) -> TrackEstimate:
-    """Report the weighted-mean state and whether q clears the threshold."""
+def extract(belief: BernoulliBelief, cfg: PipelineConfig) -> TrackEstimate:
+    """Report the weighted-mean state and whether q clears the threshold gamma."""
     mean = belief.weights @ belief.states
     return TrackEstimate(
-        confirmed=bool(belief.exist_prob > params.confirm_threshold),
+        confirmed=bool(belief.exist_prob > cfg.filter_confirm_threshold),
         exist_prob=float(belief.exist_prob),
         state=TargetState(float(mean[PSI]), float(mean[PSIDOT]), float(mean[ETA_DB])),
     )

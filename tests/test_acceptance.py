@@ -18,7 +18,6 @@ from sonartkbd.array import (ArrayGeometry, apply_steering, delay_spectrum,
 from sonartkbd.config import default_config
 from sonartkbd.evaluate import OspaParams, ospa_single
 from sonartkbd.noise import NoiseStream, VarModel, fit_var, whiten
-from sonartkbd.pipeline import filter_params_from_config
 from sonartkbd.stats import TModelParams, gauss_log_lr, t_log_lr
 from sonartkbd.study import N_RUNS, calibrated_study
 from sonartkbd.tkbd import BernoulliBelief, update
@@ -79,8 +78,7 @@ def test_criterion_02_zero_snr_is_exactly_neutral():
         vals = t_log_lr(energy, z2, 0.0, params)
         exact_zero = exact_zero and bool(np.all(vals == 0.0))
 
-    fparams = replace(filter_params_from_config(default_config("sim"), 64 / 375),
-                      n_persist=500, n_birth=100)
+    fparams = replace(default_config("sim"), filter_n_persist=500, filter_n_birth=100)
     worst_dq = 0.0
     for q in (0.013, 0.4, 0.5, 0.93, 0.999):
         states = rng.uniform(-1.0, 1.0, size=(300, 3))

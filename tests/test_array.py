@@ -196,3 +196,14 @@ def test_steering_operator_direct_construction():
     ref = make_steering(geom, 90.0, n)
     assert ref.shape == (3, n) and ref.dtype == np.complex128
     np.testing.assert_allclose(spectra, ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 8, 2])
+def test_steering_over_bearing_array_equals_per_bearing_stack(n):
+    """One broadcast call gives (M, G, N), bit for bit the per-bearing spectra."""
+    geom = default_ula()
+    bearings = np.random.default_rng(n).uniform(-90.0, 90.0, 50)
+    stacked = np.stack([make_steering(geom, float(b), n) for b in bearings], axis=1)
+    batch = make_steering(geom, bearings, n)
+    assert batch.shape == (8, bearings.size, n)
+    np.testing.assert_array_equal(batch, stacked)

@@ -19,6 +19,7 @@ from sonartkbd.array import ArrayGeometry
 from sonartkbd.cli import main
 from sonartkbd.config import (_DOMAINS, CONFIG_VERSION, ConfigError, PipelineConfig,
                               default_config, load_config, save_config)
+from sonartkbd.noise import VarModel, save_var
 from sonartkbd.sim import Dataset, save_dataset
 
 
@@ -229,6 +230,23 @@ def test_scenario_shorter_than_one_batch_is_rejected(tmp_path, capsys):
                  "--out", str(tmp_path / "ds")]) == 1
     assert "shorter than one" in _one_error_line(capsys)
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--target-free"]], ids=["target", "target-free"])
+def test_ambient_with_other_channel_count_is_rejected(tmp_path, capsys, flags):
+    """A 4-channel ambient model on the 8-element sim array names both counts."""
+    save_var(VarModel(np.zeros((1, 4, 4)), np.eye(4)), tmp_path / "m4.var")
+    assert main(["simulate", "--ambient", str(tmp_path / "m4.var"), *flags,
+                 "--out", str(tmp_path / "ds")]) == 1
+    assert "ambient model has 4 channels, the array has 8" in _one_error_line(capsys)
+    assert not (tmp_path / "ds").exists()
+
+
+def test_negative_auto_order_fails_with_one_line(workdir, tmp_path, capsys):
+    assert main(["fit-noise", "--data", str(workdir / "ds"), "--auto-order", "-1",
+                 "--out", str(tmp_path / "m.var")]) == 1
+    assert "max_order must be >= 0, got -1" in _one_error_line(capsys)
+    assert not (tmp_path / "m.var").exists()
 
 
 def test_track_takes_the_batch_layout_from_the_dataset(workdir, tmp_path):

@@ -9,14 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sonartkbd.config import ConfigError, default_config
-from sonartkbd.detect import (ClutterModel, _window_kernel, cfar_detect, cfar_detections,
+from sonartkbd.detect import (_window_kernel, _z_quantile, cfar_detect, cfar_detections,
                               detection_log_lr)
-from sonartkbd.pipeline import cfar_params_from_config
 
 
 def cfar_params(**kw):
-    """The real profile's detector with the given values replaced."""
-    return replace(cfar_params_from_config(default_config("real")), **kw)
+    """The real profile's config with the given `cfar_*` values replaced."""
+    return replace(default_config("real"), **{f"cfar_{k}": v for k, v in kw.items()})
+
+
+def clutter_model(**kw):
+    """The real profile's config with the given `clutter_*` values replaced."""
+    return replace(default_config("real"), **{f"clutter_{k}": v for k, v in kw.items()})
 
 
 def test_param_validation():
@@ -28,8 +32,8 @@ def test_param_validation():
 
 
 def test_z_quantile_frozen():
-    assert cfar_params(alpha=1e-3).z_alpha == pytest.approx(3.090232306167813, abs=1e-12)
-    assert cfar_params(alpha=0.25).z_alpha == pytest.approx(0.6744897501960817, abs=1e-12)
+    assert _z_quantile(1e-3) == pytest.approx(3.090232306167813, abs=1e-12)
+    assert _z_quantile(0.25) == pytest.approx(0.6744897501960817, abs=1e-12)
 
 
 def test_window_kernel_layout():
@@ -135,20 +139,20 @@ def test_window_wider_than_grid_is_rejected():
 
 
 def test_detection_log_lr_frozen_values():
-    clutter = ClutterModel(rate=1.0, prob_detect=0.9, bearing_var=4.0)
+    clutter = clutter_model(rate=1.0, prob_detect=0.9, bearing_var=4.0)
     on_target = detection_log_lr(np.array([10.0]), 10.0, clutter)
     # ln(0.1 + 0.9 * 180 * N(0; 0, 4)) with N(0; 0, 4) = 0.19947114020071635
     assert float(on_target) == pytest.approx(3.4786004458483677, abs=1e-12)
     miss = detection_log_lr(np.array([]), 10.0, clutter)
     assert float(miss) == pytest.approx(np.log(0.1), abs=1e-12)
     sharper = detection_log_lr(np.array([10.0]), 10.0,
-                               ClutterModel(rate=0.2, prob_detect=0.9,
-                                            bearing_var=4.0))
+                               clutter_model(rate=0.2, prob_detect=0.9,
+                                             bearing_var=4.0))
     assert float(sharper) == pytest.approx(5.085567263011165, abs=1e-12)
 
 
 def test_detection_log_lr_vectorized():
-    clutter = ClutterModel(rate=0.5, prob_detect=0.9, bearing_var=9.0)
+    clutter = clutter_model(rate=0.5, prob_detect=0.9, bearing_var=9.0)
     dets = np.array([-20.0, 35.0])
     query = np.array([-20.0, 0.0, 35.0])
     vec = detection_log_lr(dets, query, clutter)
@@ -161,7 +165,7 @@ def test_detection_log_lr_vectorized():
 @settings(max_examples=40, deadline=None)
 @given(offset=st.floats(0.0, 60.0))
 def test_detection_log_lr_decays_with_miss_distance(offset):
-    clutter = ClutterModel(rate=0.2, prob_detect=0.9, bearing_var=4.0)
+    clutter = clutter_model(rate=0.2, prob_detect=0.9, bearing_var=4.0)
     near = float(detection_log_lr(np.array([0.0]), 0.0, clutter))
     far = float(detection_log_lr(np.array([0.0]), offset, clutter))
     assert far <= near + 1e-12

@@ -123,9 +123,7 @@ def test_aggregate_quantiles_shape_and_median():
 
 
 def report_with_eta(eta):
-    return RunReport(np.arange(1), np.zeros(1), np.zeros(1),
-                     np.zeros(1, dtype=bool), None if eta is None else 0,
-                     None, eta, 0)
+    return RunReport(np.zeros(1), None if eta is None else 0, None, eta, 0)
 
 
 def test_median_detection_eta_censors_missed_runs():

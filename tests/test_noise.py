@@ -144,6 +144,12 @@ def test_select_order_finds_truth():
     assert np.argmin(aic) == 2
 
 
+def test_select_order_rejects_negative_max_order():
+    data = np.random.default_rng(7).standard_normal((100, 2))
+    with pytest.raises(FitError, match="max_order must be >= 0, got -1"):
+        select_order(data, -1)
+
+
 def test_stream_matches_batch_simulation():
     model = known_var2()
     a = NoiseStream(model, np.random.default_rng(8))

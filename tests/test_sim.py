@@ -80,6 +80,8 @@ def test_duration_beyond_path_rejected():
 def test_scenario_validation():
     with pytest.raises(ScenarioError):
         straight_scenario(waypoints=np.array([[0.0, 100.0]]))
+    with pytest.raises(ScenarioError, match="ambient model has 3 channels, the array has 4"):
+        straight_scenario(ambient=white_model(3))
     # speed, tail dof and batch length are checked once, where they are set: in the config
     for bad in (dict(scenario_speed_mps=0.0), dict(scenario_sim_dof=2.0),
                 dict(batch_samples=63)):

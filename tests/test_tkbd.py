@@ -9,18 +9,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sonartkbd.config import ConfigError, default_config
-from sonartkbd.pipeline import filter_params_from_config
 from sonartkbd.tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, PSIDOT,
-                            BernoulliBelief, FilterParams, LikelihoodField,
+                            BernoulliBelief, LikelihoodField,
                             effective_sample_size, extract, motion_step,
                             predict, reflect_bearing, sample_birth,
                             systematic_resample, update)
 
 
+PERIOD = 0.17  # batch period in seconds
+
+
 def small_params(**kw):
-    """The sim profile's filter on a 0.17 s batch period, with small clouds."""
-    params = filter_params_from_config(default_config("sim"), 0.17)
-    return replace(params, **{"n_persist": 200, "n_birth": 50, **kw})
+    """The sim profile's filter config with small clouds."""
+    return replace(default_config("sim"),
+                   **{"filter_n_persist": 200, "filter_n_birth": 50, **kw})
 
 
 def single_particle_belief(q, psi=0.0, psidot=0.0, eta=-5.0):
@@ -46,13 +48,13 @@ def test_reflection_invariants(psi):
 
 
 def test_predicted_existence_closed_form():
-    params = small_params(prob_survival=0.8, prob_birth=0.2)
+    params = small_params(filter_prob_survival=0.8, filter_prob_birth=0.2)
     belief = single_particle_belief(0.5)
     rng = np.random.default_rng(0)
-    pred = predict(belief, params, None, rng)
+    pred = predict(belief, params, PERIOD, None, rng)
     # 0.2 * 0.5 + 0.8 * 0.5
     assert pred.exist_prob == pytest.approx(0.5)
-    assert pred.states.shape == (1 + params.n_birth, 3)
+    assert pred.states.shape == (1 + params.filter_n_birth, 3)
     assert pred.weights.sum() == pytest.approx(1.0)
     # survivor keeps p_s q / q_pred of the mass, births share the rest
     assert pred.weights[0] == pytest.approx(0.8)
@@ -60,10 +62,10 @@ def test_predicted_existence_closed_form():
 
 
 def test_predict_from_empty_belief():
-    params = small_params(prob_birth=0.05)
+    params = small_params(filter_prob_birth=0.05)
     rng = np.random.default_rng(1)
     belief = BernoulliBelief.empty(params, rng)
-    pred = predict(belief, params, None, rng)
+    pred = predict(belief, params, PERIOD, None, rng)
     assert pred.exist_prob == pytest.approx(0.05)
 
 
@@ -116,7 +118,7 @@ def test_update_saturated_existence_stays_saturated():
 
 
 def test_update_resamples_oversized_cloud():
-    params = small_params(n_persist=64)
+    params = small_params(filter_n_persist=64)
     rng = np.random.default_rng(6)
     n = 300
     states = rng.uniform(-1, 1, size=(n, 3))
@@ -175,23 +177,23 @@ def test_systematic_resample_is_unbiased_enough(seed, n):
 
 
 def test_motion_step_moves_bearing_with_rate():
-    params = small_params(q_cv=0.0, q_dbsnr=0.0, batch_period=0.5)
+    params = small_params(filter_q_cv=0.0, filter_q_dbsnr=0.0)
     states = np.array([[10.0, 2.0, -5.0]])
-    out = motion_step(states, params, np.random.default_rng(8))
+    out = motion_step(states, params, 0.5, np.random.default_rng(8))
     assert out[0, PSI] == pytest.approx(11.0)
     assert out[0, PSIDOT] == pytest.approx(2.0)
     assert out[0, ETA_DB] == pytest.approx(-5.0)
 
 
 def test_motion_step_reflects_at_endfire():
-    params = small_params(q_cv=0.0, q_dbsnr=0.0, batch_period=1.0)
+    params = small_params(filter_q_cv=0.0, filter_q_dbsnr=0.0)
     states = np.array([[89.5, 2.0, -5.0]])
-    out = motion_step(states, params, np.random.default_rng(9))
+    out = motion_step(states, params, 1.0, np.random.default_rng(9))
     assert out[0, PSI] == pytest.approx(88.5)
 
 
 def test_birth_without_field_respects_prior_box():
-    params = small_params(snr_lo_db=-12.0, snr_hi_db=-2.0)
+    params = small_params(filter_snr_lo_db=-12.0, filter_snr_hi_db=-2.0)
     rng = np.random.default_rng(10)
     births = sample_birth(None, params, 500, rng)
     assert births.shape == (500, 3)
@@ -201,7 +203,7 @@ def test_birth_without_field_respects_prior_box():
 
 
 def test_birth_concentrates_on_likelihood_peak():
-    params = small_params(snr_lo_db=-12.0, snr_hi_db=-2.0)
+    params = small_params(filter_snr_lo_db=-12.0, filter_snr_hi_db=-2.0)
     psi_grid = np.arange(-90.0, 91.0, 1.0)
     eta_grid = np.arange(-12.0, -1.0, 1.0)
 
@@ -222,7 +224,7 @@ def test_likelihood_field_rejects_a_grid_of_the_wrong_shape():
 
 
 def test_extract_weighted_mean_and_confirmation():
-    params = small_params(confirm_threshold=0.9)
+    params = small_params(filter_confirm_threshold=0.9)
     states = np.array([[10.0, 0.0, -5.0], [20.0, 1.0, -3.0]])
     weights = np.array([0.75, 0.25])
     est = extract(BernoulliBelief(0.95, states, weights), params)
@@ -270,7 +272,7 @@ def test_update_stays_valid_at_extreme_log_ratios(q, loglr, seed):
     states, weights, rng = _cloud(len(loglr), seed)
     ratios = np.array(loglr)
     post = update(BernoulliBelief(q, states, weights), lambda s: ratios,
-                  small_params(n_persist=16), rng)
+                  small_params(filter_n_persist=16), rng)
     assert math.isfinite(post.exist_prob) and 0.0 <= post.exist_prob <= 1.0
     assert (post.weights >= 0).all()
     assert abs(post.weights.sum() - 1.0) <= 1e-12
@@ -294,7 +296,7 @@ def test_update_moves_log_odds_by_a_common_ratio(q, target, n):
     assume(abs(c) <= 745.0)
     states, weights, rng = _cloud(n, n)
     post = update(BernoulliBelief(q, states, weights),
-                  lambda s: np.full(len(s), c), small_params(n_persist=16), rng)
+                  lambda s: np.full(len(s), c), small_params(filter_n_persist=16), rng)
     q_new = post.exist_prob
     assert 0.0 < q_new < 1.0
     assert math.log(q_new) - math.log1p(-q_new) - logit_q == pytest.approx(c, abs=1e-9)
@@ -308,5 +310,3 @@ def test_filter_params_validation():
                 dict(filter_n_persist=0)):
         with pytest.raises(ConfigError):
             replace(cfg, **bad)
-    with pytest.raises(TypeError):
-        FilterParams(0.17)  # every other value comes from the config, none has a default
