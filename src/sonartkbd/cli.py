@@ -7,6 +7,7 @@ Subcommands:
     eval             score track logs against ground truth, write metrics
     calibrate-prior  sweep the SNR prior (or clutter rate) on target-free data
     btr              write a (normalised) bearing-time record as CSV
+    detect           run the CFAR detector, write the detected bearings as CSV
 
 Every command takes `--config` (INI, strict schema) and `--seed` where
 randomness is involved; identical inputs and seeds reproduce outputs byte
@@ -25,13 +26,13 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, default_config, load_config, save_config
 from .detect import cfar_detections
-from .evaluate import aggregate_quantiles, make_run_report
+from .evaluate import AGGREGATE_QUANTILES, aggregate_quantiles, make_run_report
 from .noise import fit_var, load_var, save_var, select_order
 from .pipeline import (VARIANTS, beam_energies, bearing_beamformer, load_track_log,
                        run_tracker, save_detections, save_track_log, spawn_rng)
 from .sim import generate_dataset, load_dataset, save_dataset
-from .study import (SEED_SIMULATE, SEED_TRACK, calibrate_variant, default_ambient_model,
-                    default_geometry, scenario_from_config)
+from .study import (SEED_SIMULATE, SEED_TRACK, VAR_ORDER, calibrate_variant,
+                    default_ambient_model, default_geometry, scenario_from_config)
 
 
 def _load_cfg(args):
@@ -117,9 +118,10 @@ def cmd_eval(args) -> int:
         quants = aggregate_quantiles(stack)
         with open(args.aggregate, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(("batch_index", "ospa_q10", "ospa_q50", "ospa_q90"))
+            writer.writerow(["batch_index"] + [f"ospa_q{round(100 * q)}"
+                                               for q in AGGREGATE_QUANTILES])
             for k in range(stack.shape[1]):
-                writer.writerow([k] + [f"{quants[i, k]:.6f}" for i in range(3)])
+                writer.writerow([k] + [f"{v:.6f}" for v in quants[:, k]])
     print(f"evaluated {len(reports)} track log(s), wrote {args.out}")
     return 0
 
@@ -205,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-noise", help="fit a VAR noise model")
     common(p, seed=False)
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--order", type=int, default=14, help="VAR order p")
+    p.add_argument("--order", type=int, default=VAR_ORDER, help="VAR order p")
     p.add_argument("--auto-order", type=int, default=None, metavar="PMAX",
                    help="pick the order in [0, PMAX] by AIC instead")
     p.add_argument("--max-samples", type=int, default=0,

@@ -161,8 +161,7 @@ _SIM_PROFILE = {
     "scenario_end_range_m": 200.0,
 }
 
-_SECTIONS = ("meta", "array", "batch", "grid", "tmodel", "filter", "cfar",
-             "clutter", "ospa", "scenario", "eval")
+_SECTIONS = tuple(dict.fromkeys(f.name.partition("_")[0] for f in fields(PipelineConfig)))
 
 
 def default_config(profile: str = "real") -> PipelineConfig:

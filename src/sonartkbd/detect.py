@@ -127,17 +127,13 @@ def detection_log_lr(detections: np.ndarray, bearing_deg, cfg: PipelineConfig):
     p_d, lambda and R (deg^2) the config's `clutter_*` fields and kappa the
     uniform clutter density over [-90, 90] deg. Without
     detections this is ln(1 - p_d); detections far from psi leave it there.
-    Vectorised over `bearing_deg`.
+    Broadcasts over `bearing_deg` of any shape.
     """
     psi = np.asarray(bearing_deg, dtype=float)
     dets = np.asarray(detections, dtype=float).ravel()
     kappa = 1.0 / (2.0 * BEARING_LIMIT_DEG)
-    acc = np.zeros(psi.shape)
-    if dets.size:
-        r = cfg.clutter_bearing_var
-        diff = dets[..., None] if psi.ndim else dets
-        gauss = np.exp(-0.5 * (diff - psi) ** 2 / r) / np.sqrt(2.0 * np.pi * r)
-        acc = gauss.sum(axis=0) if psi.ndim else float(gauss.sum())
+    r = cfg.clutter_bearing_var
+    diff = dets.reshape((-1,) + (1,) * psi.ndim) - psi
+    acc = (np.exp(-0.5 * diff ** 2 / r) / np.sqrt(2.0 * np.pi * r)).sum(axis=0)
     p_d = cfg.clutter_prob_detect
-    out = np.log(1.0 - p_d + p_d / cfg.clutter_rate * acc / kappa)
-    return out if np.ndim(out) else float(out)
+    return np.log(1.0 - p_d + p_d / cfg.clutter_rate * acc / kappa)

@@ -101,14 +101,17 @@ def make_run_report(track, truth, cfg: PipelineConfig) -> RunReport:
     )
 
 
-def aggregate_quantiles(values: np.ndarray, quants=(0.1, 0.5, 0.9)) -> np.ndarray:
-    """Columnwise quantiles of stacked per-run series, shape (len(quants), n)."""
+AGGREGATE_QUANTILES = (0.1, 0.5, 0.9)
+
+
+def aggregate_quantiles(values: np.ndarray) -> np.ndarray:
+    """Columnwise `AGGREGATE_QUANTILES` of stacked per-run series, shape (3, n)."""
     arr = np.atleast_2d(np.asarray(values, dtype=float))
-    return np.quantile(arr, quants, axis=0)
+    return np.quantile(arr, AGGREGATE_QUANTILES, axis=0)
 
 
-def median_detection_eta(reports, censor_db: float = np.inf) -> float:
-    """Median detection SNR over runs; never-detected runs count as `censor_db`."""
-    vals = [r.detection_eta_db if r.detection_eta_db is not None else censor_db
+def median_detection_eta(reports) -> float:
+    """Median detection SNR over runs; never-detected runs count as +inf."""
+    vals = [r.detection_eta_db if r.detection_eta_db is not None else np.inf
             for r in reports]
     return float(np.median(vals))

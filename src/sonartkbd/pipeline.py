@@ -11,9 +11,10 @@ batch becomes a likelihood ratio:
 `beam_energies` whitens a dataset's whole stream once and beamforms all its
 batches in one rfft pass over the `bearing_beamformer` grid; `sonartkbd
 btr` and `sonartkbd detect` read the same energies. `make_likelihood` turns
-them into one particle ratio ln L(psi, eta) per batch plus the birth field
-over the (bearing, SNR) grid, computed straight from the batch's energy row
-or detections, and `run_tracker` drives the filter over those. The array,
+them into one log likelihood ratio ln L(psi, eta) per batch, a
+`LikelihoodField` built from the batch's energy row or detections: the
+filter update reads it at the particles and the birth proposal on the
+(bearing, SNR) grid. `run_tracker` drives the filter over those. The array,
 batch length N and period N / fs come from the dataset.
 """
 
@@ -30,8 +31,8 @@ from .detect import cfar_detections, detection_log_lr
 from .noise import VarModel, whiten
 from .sim import Dataset
 from .stats import TModelParams, gauss_log_lr, t_log_lr
-from .tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, BernoulliBelief, LikelihoodField,
-                   extract, predict, update)
+from .tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, PSIDOT, BernoulliBelief,
+                   LikelihoodField, extract, predict, update)
 
 VARIANTS = ("tvar", "tvar0", "gvar", "cfar")
 
@@ -74,26 +75,30 @@ def beam_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None =
     it batch by batch, and beamformed as one (K, N, M) stack. Returns the
     (K, G) energies over `grid`, the (K,) batch energies ||z||^2 and how
     many leading batches hold whitener warm-up rows; their energies are
-    returned but should not be scored.
+    returned but should not be scored. A model whose channel count differs
+    from the dataset's is a ValueError.
     """
-    n, k = dataset.n_per_batch, dataset.n_batches
+    n, k, m = dataset.n_per_batch, dataset.n_batches, dataset.geometry.n_channels
     data = dataset.samples[:k * n]
     warmup = 0
     if model is not None:
+        if model.n_channels != m:
+            raise ValueError(f"noise model has {model.n_channels} channels, "
+                             f"the dataset has {m}")
         data, _, warmup_rows = whiten(model, data)
         warmup = -(-warmup_rows // n)
-    batches = data.reshape(k, n, dataset.geometry.n_channels)
+    batches = data.reshape(k, n, m)
     return grid.energies(batches), (batches * batches).sum(axis=(1, 2)), warmup
 
 
 def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
-                    model: VarModel | None) -> list:
-    """One `(ln L(psi_deg, eta_db), birth LikelihoodField)` pair per batch of `dataset`.
+                    model: VarModel | None) -> list[LikelihoodField | None]:
+    """The log likelihood ratio ln L(psi_deg, eta_db) of every batch of `dataset`.
 
-    The energy variants apply the t or Gaussian ratio to the batch's
-    beamformed energies: the particle ratio interpolates the row at
-    `psi_deg`, the birth field takes the row itself over the (bearing, SNR)
-    grid. `cfar` scores the batch's CFAR detections and ignores the SNR. A
+    Each batch's ratio is one `LikelihoodField` over the beamformer's
+    bearings and the SNR grid. The energy variants apply the t or Gaussian
+    ratio to the batch's beamformed energies interpolated at `psi_deg`;
+    `cfar` scores the batch's CFAR detections and ignores the SNR. A
     batch's entry is None while the whitener is warming up, and the filter
     then only predicts.
     """
@@ -105,32 +110,24 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
                          cfg.filter_eta_step_db)
     if variant == "cfar":
         energies, _, _ = beam_energies(dataset, grid)
-        detections = cfar_detections(energies, cfg, bearings)
-
-        def detection_measurement(found):
-            return (lambda psi_deg, eta_db: detection_log_lr(found, psi_deg, cfg),
-                    LikelihoodField(bearings, eta_grid,
-                                    lambda: detection_log_lr(found, bearings, cfg)[:, None]))
-        return [detection_measurement(found) for found in detections]
+        return [LikelihoodField(bearings, eta_grid, lambda psi_deg, eta_db, found=found:
+                                detection_log_lr(found, psi_deg, cfg))
+                for found in cfar_detections(energies, cfg, bearings)]
     if model is None:
         raise ValueError(f"variant {variant!r} needs a noise model")
     if variant == "tvar0" and model.order != 0:
         raise ValueError("tvar0 expects an order-0 noise model")
     params = TModelParams(cfg.tmodel_dof, dataset.n_per_batch, dataset.geometry.n_channels)
     gaussian = variant == "gvar"
-    eta_lin = 10.0 ** (eta_grid / 10.0)
     energies, z_norm_sq, warmup = beam_energies(dataset, grid, model)
 
-    def energy_measurement(row, z2):
-        def ratio(b, eta):
-            return gauss_log_lr(b, eta, params) if gaussian else t_log_lr(b, z2, eta, params)
-
+    def batch_field(row, z2):
         def loglr(psi_deg, eta_db):
+            b = np.interp(psi_deg, bearings, row)
             eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
-            return ratio(np.interp(psi_deg, bearings, row), eta)
-        return loglr, LikelihoodField(bearings, eta_grid,
-                                      lambda: ratio(row[:, None], eta_lin[None, :]))
-    return [None if k < warmup else energy_measurement(energies[k], float(z_norm_sq[k]))
+            return gauss_log_lr(b, eta, params) if gaussian else t_log_lr(b, z2, eta, params)
+        return LikelihoodField(bearings, eta_grid, loglr)
+    return [None if k < warmup else batch_field(energies[k], float(z_norm_sq[k]))
             for k in range(energies.shape[0])]
 
 
@@ -138,29 +135,24 @@ def run_tracker(dataset: Dataset, variant: str, cfg: PipelineConfig,
                 model: VarModel | None, rng: np.random.Generator) -> TrackLog:
     """Run one tracker variant over a dataset, batch by batch."""
     period = dataset.n_per_batch / dataset.geometry.sample_rate
-    measurements = make_likelihood(variant, dataset, cfg, model)
+    fields = make_likelihood(variant, dataset, cfg, model)
     belief = BernoulliBelief.empty(cfg, rng)
     prev_field: LikelihoodField | None = None
     n = dataset.n_batches
-    out = {key: np.empty(n) for key in
-           ("exist_prob", "psi_deg", "psidot", "eta_db")}
+    exist_prob = np.empty(n)
+    mean = np.empty((n, 3))
     confirmed = np.zeros(n, dtype=bool)
-    for k, measurement in enumerate(measurements):
+    for k, field in enumerate(fields):
         belief = predict(belief, cfg, period, prev_field, rng)
-        if measurement is not None:
-            loglr, field = measurement
-            belief = update(belief, lambda states: loglr(states[:, PSI], states[:, ETA_DB]),
-                            cfg, rng)
+        if field is not None:
+            states = belief.states
+            belief = update(belief, field.loglr(states[:, PSI], states[:, ETA_DB]), cfg, rng)
             prev_field = field
-        est = extract(belief, cfg)
-        out["exist_prob"][k] = est.exist_prob
-        out["psi_deg"][k] = est.state.psi_deg
-        out["psidot"][k] = est.state.psidot
-        out["eta_db"][k] = est.state.eta_db
-        confirmed[k] = est.confirmed
+        confirmed[k], mean[k] = extract(belief, cfg)
+        exist_prob[k] = belief.exist_prob
     idx = np.arange(n)
-    return TrackLog(idx, (idx + 0.5) * period, out["exist_prob"], out["psi_deg"],
-                    out["psidot"], out["eta_db"], confirmed)
+    return TrackLog(idx, (idx + 0.5) * period, exist_prob, mean[:, PSI], mean[:, PSIDOT],
+                    mean[:, ETA_DB], confirmed)
 
 
 _TRACK_COLUMNS = ("batch_index", "time_s", "q", "psi_est_deg", "psidot_est",
@@ -181,6 +173,11 @@ def save_track_log(track: TrackLog, path) -> None:
 
 
 def load_track_log(path) -> TrackLog:
+    """Read a track log written by `save_track_log`.
+
+    Every value must be finite, q in [0, 1] and `confirmed` 0 or 1; the
+    ValueError otherwise names the file and the first bad data row.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -190,6 +187,12 @@ def load_track_log(path) -> TrackLog:
     if not rows:
         raise ValueError(f"{path}: empty track log")
     arr = np.asarray(rows, dtype=float)
+    q, confirmed = arr[:, 2], arr[:, 6]
+    bad = ~np.isfinite(arr).all(axis=1) | (q < 0) | (q > 1) | ~np.isin(confirmed, (0, 1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{path}: data row {i + 1} ({','.join(rows[i])}) needs finite "
+                         f"values, q in [0, 1] and confirmed 0 or 1")
     return TrackLog(arr[:, 0].astype(int), arr[:, 1], arr[:, 2], arr[:, 3],
                     arr[:, 4], arr[:, 5], arr[:, 6].astype(bool))
 

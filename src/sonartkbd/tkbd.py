@@ -3,11 +3,13 @@
 The belief over a single possibly-present target is an existence
 probability q plus a weighted particle cloud over the state
 x = (bearing psi in degrees, bearing rate psi_dot in deg/s, SNR eta_dB).
-Prediction mixes survivors with fresh births proposed from the previous
-batch's likelihood field; the measurement update multiplies weights by a
-pluggable per-particle likelihood ratio and folds the particle-averaged
-ratio I into q through q <- q I / (1 - q + q I). No detector sits in front
-of the filter, the raw (whitened) batch drives it directly.
+Each batch carries one log likelihood ratio ln L(psi, eta_dB), a
+`LikelihoodField`. The measurement update takes that ratio's values at the
+particles, multiplies the weights by it and folds the particle-averaged
+ratio I into q through q <- q I / (1 - q + q I). Prediction mixes survivors
+with fresh births drawn from the same ratio on the previous batch's
+(bearing, SNR) grid. No detector sits in front of the filter, the raw
+(whitened) batch drives it directly.
 
 The filter steps read their tuning from the `PipelineConfig`'s `filter_*`
 fields: survival and birth probabilities per batch, process-noise standard
@@ -36,15 +38,6 @@ PSI, PSIDOT, ETA_DB = 0, 1, 2
 BEARING_LIMIT_DEG = 90.0
 
 
-@dataclass(frozen=True)
-class TargetState:
-    """Point state: bearing (deg), bearing rate (deg/s), SNR (dB)."""
-
-    psi_deg: float
-    psidot: float
-    eta_db: float
-
-
 @dataclass
 class BernoulliBelief:
     """Existence probability plus particles (n, 3) with normalised weights."""
@@ -66,24 +59,25 @@ class BernoulliBelief:
 
 
 class LikelihoodField:
-    """Log likelihood ratio gridded over (bearing, SNR) for birth proposals.
+    """One batch's log likelihood ratio and the (bearing, SNR) grid births use.
 
-    `fn()` returns ln L over the cell centres, broadcastable to (n_psi,
-    n_eta); it is called once, the first time `grid` is read.
+    `loglr(psi_deg, eta_db)` broadcasts over its two arguments; the update
+    reads it at the particles and `grid` at the cell centres.
     """
 
-    def __init__(self, psi_grid: np.ndarray, eta_db_grid: np.ndarray, fn):
+    def __init__(self, psi_grid: np.ndarray, eta_db_grid: np.ndarray, loglr):
         self.psi_grid = np.asarray(psi_grid, dtype=float)
         self.eta_db_grid = np.asarray(eta_db_grid, dtype=float)
-        self._fn = fn
+        self.loglr = loglr
         self._grid = None
 
     @property
     def grid(self) -> np.ndarray:
-        """(n_psi, n_eta) array of ln L over the cell centres."""
+        """(n_psi, n_eta) array of ln L over the cell centres, computed on first read."""
         if self._grid is None:
-            self._grid = np.broadcast_to(np.asarray(self._fn(), dtype=float),
-                                         (self.psi_grid.size, self.eta_db_grid.size))
+            self._grid = np.broadcast_to(
+                self.loglr(self.psi_grid[:, None], self.eta_db_grid[None, :]),
+                (self.psi_grid.size, self.eta_db_grid.size))
         return self._grid
 
 
@@ -197,11 +191,11 @@ def systematic_resample(weights: np.ndarray, n: int, rng: np.random.Generator) -
     return np.searchsorted(cumulative, positions)
 
 
-def update(belief: BernoulliBelief, loglr_fn, cfg: PipelineConfig,
+def update(belief: BernoulliBelief, loglr: np.ndarray, cfg: PipelineConfig,
            rng: np.random.Generator) -> BernoulliBelief:
-    """Bernoulli measurement update with a pluggable likelihood ratio.
+    """Bernoulli measurement update with per-particle log likelihood ratios.
 
-    `loglr_fn(states)` returns per-particle ln L; NaN or +inf there is a
+    `loglr` holds ln L of each particle; NaN or +inf there is a
     ValueError, -inf marks a particle the measurement rules out. The
     particle-averaged ratio I = sum_i w_i L_i updates q <- q I / (1 - q + q I)
     (computed in log odds so saturation is well behaved) and reweights the cloud. If
@@ -209,19 +203,17 @@ def update(belief: BernoulliBelief, loglr_fn, cfg: PipelineConfig,
     with the cloud kept. The cloud is resampled to n_persist whenever it
     exceeds that size or its effective sample size falls under half of it.
     """
-    loglr = np.asarray(loglr_fn(belief.states), dtype=float)
+    loglr = np.asarray(loglr, dtype=float)
     if loglr.shape != (belief.states.shape[0],):
-        raise ValueError("loglr_fn must return one value per particle")
+        raise ValueError("loglr must hold one value per particle")
     if not (loglr < np.inf).all():  # false for NaN as well as +inf
         raise ValueError("particle log likelihood ratios must not be NaN or +inf")
     q = belief.exist_prob
     peak = loglr.max()
-    if np.isneginf(peak):
-        if q > 0:
-            log.warning("all particle likelihood ratios vanished; dropping existence")
-        return BernoulliBelief(0.0, belief.states.copy(), belief.weights.copy())
-    scaled = belief.weights * np.exp(loglr - peak)
-    total = scaled.sum()
+    total = 0.0
+    if peak > -np.inf:
+        scaled = belief.weights * np.exp(loglr - peak)
+        total = scaled.sum()
     if total <= 0.0:
         if q > 0:
             log.warning("all particle likelihood ratios vanished; dropping existence")
@@ -250,20 +242,6 @@ def update(belief: BernoulliBelief, loglr_fn, cfg: PipelineConfig,
     return BernoulliBelief(q_new, states, weights)
 
 
-@dataclass(frozen=True)
-class TrackEstimate:
-    """Extraction output: confirmation flag plus the weighted-mean state."""
-
-    confirmed: bool
-    exist_prob: float
-    state: TargetState
-
-
-def extract(belief: BernoulliBelief, cfg: PipelineConfig) -> TrackEstimate:
-    """Report the weighted-mean state and whether q clears the threshold gamma."""
-    mean = belief.weights @ belief.states
-    return TrackEstimate(
-        confirmed=bool(belief.exist_prob > cfg.filter_confirm_threshold),
-        exist_prob=float(belief.exist_prob),
-        state=TargetState(float(mean[PSI]), float(mean[PSIDOT]), float(mean[ETA_DB])),
-    )
+def extract(belief: BernoulliBelief, cfg: PipelineConfig) -> tuple[bool, np.ndarray]:
+    """Whether q clears the threshold gamma, and the weighted-mean (3,) state."""
+    return belief.exist_prob > cfg.filter_confirm_threshold, belief.weights @ belief.states

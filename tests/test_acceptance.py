@@ -84,7 +84,7 @@ def test_criterion_02_zero_snr_is_exactly_neutral():
         states = rng.uniform(-1.0, 1.0, size=(300, 3))
         raw = rng.uniform(0.1, 1.0, 300)
         belief = BernoulliBelief(q, states, raw / raw.sum())
-        post = update(belief, lambda s: np.zeros(len(s)), fparams, rng)
+        post = update(belief, np.zeros(300), fparams, rng)
         worst_dq = max(worst_dq, abs(post.exist_prob - q))
     ok = exact_zero and worst_dq < 1e-12
     criterion(2, ok, f"1000 ratios all exactly 0.0: {exact_zero}, "

@@ -242,6 +242,41 @@ def test_ambient_with_other_channel_count_is_rejected(tmp_path, capsys, flags):
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("command", [["track", "--variant", "tvar"], ["btr"]],
+                         ids=["track", "btr"])
+def test_model_with_other_channel_count_is_rejected(workdir, tmp_path, capsys, command):
+    """A 4-channel noise model on the 8-channel dataset names both counts."""
+    save_var(VarModel(np.zeros((1, 4, 4)), np.eye(4)), tmp_path / "m4.var")
+    assert main([command[0], "--config", str(workdir / "config.ini"),
+                 "--data", str(workdir / "ds"), *command[1:],
+                 "--model", str(tmp_path / "m4.var"), "--out", str(tmp_path / "out.csv")]) == 1
+    assert "noise model has 4 channels, the dataset has 8" in _one_error_line(capsys)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("column, value", [("q", "nan"), ("psi_est_deg", "nan"),
+                                           ("q", "-0.5"), ("q", "inf"), ("confirmed", "2")])
+def test_eval_rejects_a_bad_track_log(workdir, tmp_path, capsys, column, value):
+    """A NaN, a q outside [0, 1] or a confirmed flag other than 0/1 stops eval."""
+    rc = main(["track", "--config", str(workdir / "config.ini"), "--data",
+               str(workdir / "ds"), "--variant", "cfar", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    col = lines[0].split(",").index(column)
+    row = lines[3].split(",")
+    row[-1] = "1"  # a confirmed row, so eval would score its bearing
+    row[col] = value
+    lines[3] = ",".join(row)
+    (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(workdir / "config.ini"), "--truth",
+                 str(workdir / "ds"), "--tracks", str(tmp_path / "t.csv"),
+                 "--out", str(tmp_path / "m.csv"), "--aggregate", str(tmp_path / "a.csv")]) == 1
+    line = _one_error_line(capsys)
+    assert str(tmp_path / "t.csv") in line and "data row 3" in line
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "a.csv").exists()
+
+
 def test_negative_auto_order_fails_with_one_line(workdir, tmp_path, capsys):
     assert main(["fit-noise", "--data", str(workdir / "ds"), "--auto-order", "-1",
                  "--out", str(tmp_path / "m.var")]) == 1

@@ -162,6 +162,24 @@ def test_detection_log_lr_vectorized():
     assert vec[0] > vec[1] and vec[2] > vec[1]
 
 
+@pytest.mark.parametrize("dets", [[], [-20.0], [-20.0, 35.0, 36.5, 80.0]])
+def test_detection_log_lr_broadcasts_over_any_bearing_shape(dets):
+    """A (G, 1) bearing column gives the 1-D result as a column, bit for bit."""
+    clutter = clutter_model(rate=0.5, prob_detect=0.9, bearing_var=9.0)
+    dets = np.array(dets)
+    bearings = np.arange(-90.0, 91.0, 1.0)
+    flat = detection_log_lr(dets, bearings, clutter)
+    assert flat.shape == bearings.shape
+    column = detection_log_lr(dets, bearings[:, None], clutter)
+    assert column.shape == (bearings.size, 1)
+    np.testing.assert_array_equal(column, flat[:, None])
+    scalar = detection_log_lr(dets, 35.0, clutter)
+    assert np.ndim(scalar) == 0
+    assert float(scalar) == pytest.approx(flat[125], rel=1e-12)
+    if dets.size == 0:
+        np.testing.assert_allclose(flat, np.log(1.0 - 0.9), rtol=1e-15)
+
+
 @settings(max_examples=40, deadline=None)
 @given(offset=st.floats(0.0, 60.0))
 def test_detection_log_lr_decays_with_miss_distance(offset):

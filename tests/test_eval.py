@@ -130,7 +130,5 @@ def test_median_detection_eta_censors_missed_runs():
     reports = [report_with_eta(-12.0), report_with_eta(-8.0),
                report_with_eta(None)]
     assert median_detection_eta(reports) == pytest.approx(-8.0)
-    assert median_detection_eta(reports, censor_db=0.0) == pytest.approx(-8.0)
     all_missed = [report_with_eta(None)] * 3
     assert np.isposinf(median_detection_eta(all_missed))
-    assert median_detection_eta(all_missed, censor_db=0.0) == 0.0

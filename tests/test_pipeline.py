@@ -76,29 +76,29 @@ def test_make_likelihood_one_ratio_per_batch():
     cfg = default_config("sim")
     ds = random_dataset(cfg.array_elements, cfg.batch_samples, 4, seed=3)
     model = fit_var(np.random.default_rng(2).standard_normal((3000, cfg.array_elements)), 70)
-    measurements = make_likelihood("tvar", ds, cfg, model)
-    assert len(measurements) == 4
-    assert measurements[:2] == [None, None]  # 70 warm-up rows span two 64-sample batches
+    fields = make_likelihood("tvar", ds, cfg, model)
+    assert len(fields) == 4
+    assert fields[:2] == [None, None]  # 70 warm-up rows span two 64-sample batches
     grid = bearing_beamformer(ds, cfg)
     bearings = grid.bearings_deg
     energies, z_norm_sq, _ = beam_energies(ds, grid, model)
     params = TModelParams(cfg.tmodel_dof, cfg.batch_samples, cfg.array_elements)
     eta_db = np.array([-8.0, -3.0])
-    loglr, field = measurements[2]
+    field = fields[2]
     np.testing.assert_array_equal(
-        loglr(bearings[[10, 90]], eta_db),
+        field.loglr(bearings[[10, 90]], eta_db),
         t_log_lr(energies[2, [10, 90]], z_norm_sq[2], 10.0 ** (eta_db / 10.0), params))
     np.testing.assert_array_equal(field.psi_grid, bearings)
     np.testing.assert_array_equal(field.eta_db_grid, np.arange(-12.0, -1.5, 1.0))
     cfar = make_likelihood("cfar", ds, cfg, None)
     assert len(cfar) == 4 and all(m is not None for m in cfar)
     # the detection ratio does not depend on the SNR argument
-    assert cfar[3][0](bearings, -8.0).tolist() == cfar[3][0](bearings, -3.0).tolist()
+    assert cfar[3].loglr(bearings, -8.0).tolist() == cfar[3].loglr(bearings, -3.0).tolist()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_birth_field_equals_the_particle_ratio_on_the_grid(variant):
-    """Each birth field is the batch's particle ratio evaluated at every grid cell.
+    """Each birth grid is the batch's particle ratio evaluated at every grid cell.
 
     On this data the CFAR pass fires twice in batch 0, so `cfar` covers a
     field with detections as well as the empty ones.
@@ -108,9 +108,9 @@ def test_birth_field_equals_the_particle_ratio_on_the_grid(variant):
     order = 0 if variant == "tvar0" else 3
     model = fit_var(np.random.default_rng(6).standard_normal((3000, cfg.array_elements)),
                     order)
-    measurements = [m for m in make_likelihood(variant, ds, cfg, model) if m is not None]
-    assert len(measurements) == (4 if variant in ("tvar", "gvar") else 5)  # VAR(3) warm-up
-    for loglr, field in measurements:
+    fields = [f for f in make_likelihood(variant, ds, cfg, model) if f is not None]
+    assert len(fields) == (4 if variant in ("tvar", "gvar") else 5)  # VAR(3) warm-up
+    for field in fields:
         pp, ee = np.meshgrid(field.psi_grid, field.eta_db_grid, indexing="ij")
         np.testing.assert_array_equal(field.grid,
-                                      loglr(pp.ravel(), ee.ravel()).reshape(pp.shape))
+                                      field.loglr(pp.ravel(), ee.ravel()).reshape(pp.shape))

@@ -74,7 +74,7 @@ def test_update_closed_form():
     params = small_params()
     belief = single_particle_belief(0.5)
     rng = np.random.default_rng(2)
-    post = update(belief, lambda s: np.full(len(s), np.log(2.0)), params, rng)
+    post = update(belief, np.full(1, np.log(2.0)), params, rng)
     assert post.exist_prob == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
@@ -84,7 +84,7 @@ def test_update_keeps_weights_normalised():
     states = rng.uniform(-1, 1, size=(100, 3))
     weights = np.full(100, 0.01)
     belief = BernoulliBelief(0.3, states, weights)
-    post = update(belief, lambda s: rng.normal(0, 3, len(s)), params, rng)
+    post = update(belief, rng.normal(0, 3, 100), params, rng)
     assert post.weights.sum() == pytest.approx(1.0)
     assert (post.weights >= 0).all()
 
@@ -93,7 +93,7 @@ def test_update_handles_vanishing_ratios():
     params = small_params()
     belief = single_particle_belief(0.4)
     rng = np.random.default_rng(4)
-    post = update(belief, lambda s: np.full(len(s), -np.inf), params, rng)
+    post = update(belief, np.full(1, -np.inf), params, rng)
     assert post.exist_prob == 0.0
     assert post.states.shape == belief.states.shape
 
@@ -106,14 +106,23 @@ def test_update_rejects_nan_and_positive_inf(bad):
     ratios = np.zeros(10)
     ratios[3] = bad
     with pytest.raises(ValueError, match=r"NaN or \+inf"):
-        update(belief, lambda s: ratios, params, rng)
+        update(belief, ratios, params, rng)
+
+
+def test_update_rejects_one_ratio_per_wrong_particle_count():
+    params = small_params()
+    rng = np.random.default_rng(8)
+    belief = BernoulliBelief(0.5, rng.uniform(-1, 1, size=(10, 3)), np.full(10, 0.1))
+    for bad in (np.zeros(9), np.zeros((10, 1)), 0.0):
+        with pytest.raises(ValueError, match="one value per particle"):
+            update(belief, bad, params, rng)
 
 
 def test_update_saturated_existence_stays_saturated():
     params = small_params()
     belief = single_particle_belief(1.0)
     rng = np.random.default_rng(5)
-    post = update(belief, lambda s: np.full(len(s), -8.0), params, rng)
+    post = update(belief, np.full(1, -8.0), params, rng)
     assert post.exist_prob == pytest.approx(1.0)
 
 
@@ -123,7 +132,7 @@ def test_update_resamples_oversized_cloud():
     n = 300
     states = rng.uniform(-1, 1, size=(n, 3))
     belief = BernoulliBelief(0.5, states, np.full(n, 1.0 / n))
-    post = update(belief, lambda s: np.zeros(len(s)), params, rng)
+    post = update(belief, np.zeros(n), params, rng)
     assert post.states.shape == (64, 3)
     np.testing.assert_allclose(post.weights, 1.0 / 64)
 
@@ -207,10 +216,10 @@ def test_birth_concentrates_on_likelihood_peak():
     psi_grid = np.arange(-90.0, 91.0, 1.0)
     eta_grid = np.arange(-12.0, -1.0, 1.0)
 
-    def fn():  # one column, broadcast over the SNR axis
-        return np.where(np.abs(psi_grid - 30.0) < 2.0, 8.0, 0.0)[:, None]
+    def loglr(psi_deg, eta_db):  # one column, broadcast over the SNR axis
+        return np.where(np.abs(psi_deg - 30.0) < 2.0, 8.0, 0.0)
 
-    field = LikelihoodField(psi_grid, eta_grid, fn)
+    field = LikelihoodField(psi_grid, eta_grid, loglr)
     rng = np.random.default_rng(11)
     births = sample_birth(field, params, 2000, rng)
     near = np.abs(births[:, PSI] - 30.0) < 4.0
@@ -218,7 +227,7 @@ def test_birth_concentrates_on_likelihood_peak():
 
 
 def test_likelihood_field_rejects_a_grid_of_the_wrong_shape():
-    field = LikelihoodField(np.arange(5.0), np.arange(3.0), lambda: np.zeros((3, 5)))
+    field = LikelihoodField(np.arange(5.0), np.arange(3.0), lambda psi, eta: np.zeros((3, 5)))
     with pytest.raises(ValueError):
         field.grid
 
@@ -227,13 +236,11 @@ def test_extract_weighted_mean_and_confirmation():
     params = small_params(filter_confirm_threshold=0.9)
     states = np.array([[10.0, 0.0, -5.0], [20.0, 1.0, -3.0]])
     weights = np.array([0.75, 0.25])
-    est = extract(BernoulliBelief(0.95, states, weights), params)
-    assert est.confirmed
-    assert est.state.psi_deg == pytest.approx(12.5)
-    assert est.state.psidot == pytest.approx(0.25)
-    assert est.state.eta_db == pytest.approx(-4.5)
-    est2 = extract(BernoulliBelief(0.9, states, weights), params)
-    assert not est2.confirmed  # threshold is strict
+    confirmed, mean = extract(BernoulliBelief(0.95, states, weights), params)
+    assert confirmed
+    np.testing.assert_allclose(mean, [12.5, 0.25, -4.5])
+    confirmed, _ = extract(BernoulliBelief(0.9, states, weights), params)
+    assert not confirmed  # threshold is strict
 
 
 @settings(max_examples=30, deadline=None)
@@ -249,7 +256,7 @@ def test_update_keeps_probability_in_range(seed, q, shift):
     states = rng.uniform(-50, 50, size=(n, 3))
     raw = rng.uniform(0.1, 1.0, n)
     belief = BernoulliBelief(q, states, raw / raw.sum())
-    post = update(belief, lambda s: rng.normal(shift, 2.0, len(s)), params, rng)
+    post = update(belief, rng.normal(shift, 2.0, n), params, rng)
     assert 0.0 <= post.exist_prob <= 1.0
     assert np.isfinite(post.weights).all()
 
@@ -271,7 +278,7 @@ def test_update_stays_valid_at_extreme_log_ratios(q, loglr, seed):
     """ln L anywhere in the float exponent range, some particles ruled out."""
     states, weights, rng = _cloud(len(loglr), seed)
     ratios = np.array(loglr)
-    post = update(BernoulliBelief(q, states, weights), lambda s: ratios,
+    post = update(BernoulliBelief(q, states, weights), ratios,
                   small_params(filter_n_persist=16), rng)
     assert math.isfinite(post.exist_prob) and 0.0 <= post.exist_prob <= 1.0
     assert (post.weights >= 0).all()
@@ -296,7 +303,7 @@ def test_update_moves_log_odds_by_a_common_ratio(q, target, n):
     assume(abs(c) <= 745.0)
     states, weights, rng = _cloud(n, n)
     post = update(BernoulliBelief(q, states, weights),
-                  lambda s: np.full(len(s), c), small_params(filter_n_persist=16), rng)
+                  np.full(n, c), small_params(filter_n_persist=16), rng)
     q_new = post.exist_prob
     assert 0.0 < q_new < 1.0
     assert math.log(q_new) - math.log1p(-q_new) - logit_q == pytest.approx(c, abs=1e-9)
