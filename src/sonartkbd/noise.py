@@ -16,6 +16,8 @@ from scipy.linalg import cholesky, solve, solve_discrete_lyapunov, solve_triangu
 
 _MAGIC = b"SONARVAR"
 _VERSION = 1
+# values per row chunk of the lag matrix in `select_order` (8 MB of float64)
+_GRAM_CHUNK_VALUES = 1 << 20
 
 
 class FitError(ValueError):
@@ -112,13 +114,7 @@ def fit_var(data: np.ndarray, order: int) -> VarModel:
         return VarModel(np.zeros((0, m, m)), sigma)
     target = y[p:]
     lagged = np.hstack([y[p - i:t_total - i] for i in range(1, p + 1)])
-    gram = lagged.T @ lagged
-    rhs = lagged.T @ target
-    try:
-        beta = solve(gram, rhs, assume_a="pos")
-    except np.linalg.LinAlgError:
-        ridge = 1e-10 * np.trace(gram)
-        beta = solve(gram + ridge * np.eye(gram.shape[0]), rhs, assume_a="pos")
+    beta = _solve_normal(lagged.T @ lagged, lagged.T @ target)
     resid = target - lagged @ beta
     sigma = resid.T @ resid / (t_total - p - 1)
     coeffs = np.stack([beta[i * m:(i + 1) * m].T for i in range(p)])
@@ -128,23 +124,71 @@ def fit_var(data: np.ndarray, order: int) -> VarModel:
 def select_order(data: np.ndarray, max_order: int) -> tuple[int, np.ndarray]:
     """Pick the VAR order in [0, max_order] minimising AIC.
 
-    AIC(p) = T ln det Sigma_w(p) + 2 p M^2. Returns the winning order and
-    the full score vector for diagnostics.
+    AIC(p) = T ln det Sigma_w(p) + 2 p M^2, with Sigma_w(p) the innovation
+    covariance of the least-squares VAR(p) fit that `fit_var` makes: the same
+    sample set n = p..T-1, the same divisor T - p - 1 and the same ridge
+    fallback. A singular or indefinite Sigma_w scores inf.
+
+    One pass over the data, in row chunks of bounded size, adds up the Gram
+    matrix of z_n = [y_n, y_{n-1}, ..., y_{n-P}] (P = max_order, zero where a
+    lag reaches before the first sample). Order p takes that matrix less the
+    outer products of z_0..z_{p-1}, which is the Gram matrix over n = p..T-1,
+    and reads its normal equations from the leading (p+1)M block. Like
+    `fit_var`, it needs T > P M + P + 1 samples; the check runs before any
+    fitting and names `max_order`.
+
+    Returns the winning order and the full score vector for diagnostics.
     """
-    if max_order < 0:
-        raise FitError(f"max_order must be >= 0, got {max_order}")
     y = np.asarray(data, dtype=float)
+    if y.ndim != 2:
+        raise FitError(f"data must be (T, M), got shape {y.shape}")
+    p_max = int(max_order)
+    if p_max < 0:
+        raise FitError(f"max_order must be >= 0, got {max_order}")
     t_total, m = y.shape
-    scores = np.empty(max_order + 1)
-    for p in range(max_order + 1):
-        model = fit_var(y, p)
-        sign, logdet = np.linalg.slogdet(model.noise_cov)
-        if sign <= 0:
-            scores[p] = np.inf
-            continue
-        scores[p] = t_total * logdet + 2.0 * p * m * m
+    if t_total <= p_max * m + p_max + 1:
+        raise FitError(f"need more than p*M + p + 1 = {p_max * m + p_max + 1} samples "
+                       f"for max_order {p_max}, got {t_total}")
+    width = (p_max + 1) * m
+    padded = np.vstack([np.zeros((p_max, m)), y])
+    rows = max(1, _GRAM_CHUNK_VALUES // width)
+    full = np.zeros((width, width))
+    for start in range(0, t_total, rows):
+        z = _lag_rows(padded, p_max, start, min(start + rows, t_total))
+        full += z.T @ z
+    head = _lag_rows(padded, p_max, 0, p_max)
+    scores = np.empty(p_max + 1)
+    for p in range(p_max + 1):
+        if p:
+            full -= np.outer(head[p - 1], head[p - 1])
+            k = (p + 1) * m
+            rhs = full[m:k, :m]
+            resid_gram = full[:m, :m] - rhs.T @ _solve_normal(full[m:k, m:k], rhs)
+        else:
+            resid_gram = full[:m, :m]
+        sigma = resid_gram / (t_total - p - 1)
+        sign, logdet = np.linalg.slogdet(0.5 * (sigma + sigma.T))
+        scores[p] = t_total * logdet + 2.0 * p * m * m if sign > 0 else np.inf
     best = int(np.argmin(scores))
     return best, scores
+
+
+def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the normal equations, with a ridge of 1e-10 trace(gram) only if singular."""
+    try:
+        return solve(gram, rhs, assume_a="pos")
+    except np.linalg.LinAlgError:
+        ridge = 1e-10 * np.trace(gram)
+        return solve(gram + ridge * np.eye(gram.shape[0]), rhs, assume_a="pos")
+
+
+def _lag_rows(padded: np.ndarray, p_max: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of [y_n, y_{n-1}, ..., y_{n-P}], from data led by P zero rows."""
+    m = padded.shape[1]
+    z = np.empty((stop - start, (p_max + 1) * m))
+    for i in range(p_max + 1):
+        z[:, i * m:(i + 1) * m] = padded[p_max + start - i:p_max + stop - i]
+    return z
 
 
 @dataclass

@@ -175,8 +175,9 @@ def save_track_log(track: TrackLog, path) -> None:
 def load_track_log(path) -> TrackLog:
     """Read a track log written by `save_track_log`.
 
-    Every value must be finite, q in [0, 1] and `confirmed` 0 or 1; the
-    ValueError otherwise names the file and the first bad data row.
+    Every row must hold one number per column, every value finite, q in
+    [0, 1] and `confirmed` 0 or 1; the ValueError otherwise names the file
+    and the first bad data row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -186,7 +187,16 @@ def load_track_log(path) -> TrackLog:
         rows = [r for r in reader if r]
     if not rows:
         raise ValueError(f"{path}: empty track log")
-    arr = np.asarray(rows, dtype=float)
+    width = len(_TRACK_COLUMNS)
+    arr = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            values = []
+        if len(values) != width:
+            raise ValueError(f"{path}: data row {i + 1} ({','.join(row)}) needs {width} numbers")
+        arr[i] = values
     q, confirmed = arr[:, 2], arr[:, 6]
     bad = ~np.isfinite(arr).all(axis=1) | (q < 0) | (q > 1) | ~np.isin(confirmed, (0, 1))
     if bad.any():

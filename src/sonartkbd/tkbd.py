@@ -82,10 +82,19 @@ class LikelihoodField:
 
 
 def reflect_bearing(psi_deg: np.ndarray) -> np.ndarray:
-    """Fold bearings back into [-90, 90] by reflection at the ends."""
-    folded = np.mod(np.asarray(psi_deg, dtype=float) + BEARING_LIMIT_DEG, 360.0)
-    folded = np.where(folded > 180.0, 360.0 - folded, folded)
-    return folded - BEARING_LIMIT_DEG
+    """Fold bearings back into [-90, 90] by reflection at the ends.
+
+    Only entries outside the range (or NaN) take the np.mod fold. The rest
+    still go through (psi + 90) - 90, so every output bit equals folding
+    every entry.
+    """
+    shifted = np.array(psi_deg, dtype=float)
+    shifted += BEARING_LIMIT_DEG
+    escaped = ~((shifted >= 0.0) & (shifted <= 180.0))
+    if escaped.any():
+        folded = np.mod(shifted[escaped], 360.0)
+        shifted[escaped] = np.where(folded > 180.0, 360.0 - folded, folded)
+    return shifted - BEARING_LIMIT_DEG
 
 
 def motion_step(states: np.ndarray, cfg: PipelineConfig, batch_period: float,

@@ -277,6 +277,36 @@ def test_eval_rejects_a_bad_track_log(workdir, tmp_path, capsys, column, value):
     assert not (tmp_path / "m.csv").exists() and not (tmp_path / "a.csv").exists()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda row: ["abc"] + row[1:],
+    lambda row: row[:-1],
+], ids=["non-number", "missing-column"])
+def test_eval_names_the_row_that_does_not_parse(workdir, tmp_path, capsys, edit):
+    """A value that is no number or a short row names the file and the data row."""
+    rc = main(["track", "--config", str(workdir / "config.ini"), "--data",
+               str(workdir / "ds"), "--variant", "cfar", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    lines[3] = ",".join(edit(lines[3].split(",")))
+    (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(workdir / "config.ini"), "--truth",
+                 str(workdir / "ds"), "--tracks", str(tmp_path / "t.csv"),
+                 "--out", str(tmp_path / "m.csv")]) == 1
+    line = _one_error_line(capsys)
+    assert str(tmp_path / "t.csv") in line and "data row 3" in line and "needs 7 numbers" in line
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_auto_order_too_large_for_the_data_fails_with_one_line(workdir, tmp_path, capsys):
+    """100 samples of 8 channels hold no VAR(20) fit; the error names max_order."""
+    assert main(["fit-noise", "--data", str(workdir / "ds"), "--max-samples", "100",
+                 "--auto-order", "20", "--out", str(tmp_path / "m.var")]) == 1
+    line = _one_error_line(capsys)
+    assert "= 181 samples for max_order 20, got 100" in line
+    assert not (tmp_path / "m.var").exists()
+
+
 def test_negative_auto_order_fails_with_one_line(workdir, tmp_path, capsys):
     assert main(["fit-noise", "--data", str(workdir / "ds"), "--auto-order", "-1",
                  "--out", str(tmp_path / "m.var")]) == 1

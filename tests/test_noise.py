@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sonartkbd.config import default_config
 from sonartkbd.noise import (FitError, InstabilityError, ModelFileError,
                              NoiseStream, VarModel, WhitenState, fit_var,
                              load_var, save_var, select_order, whiten)
+from sonartkbd.study import default_geometry, synth_sea_recording
 
 
 def known_var2():
@@ -148,6 +150,62 @@ def test_select_order_rejects_negative_max_order():
     data = np.random.default_rng(7).standard_normal((100, 2))
     with pytest.raises(FitError, match="max_order must be >= 0, got -1"):
         select_order(data, -1)
+
+
+def per_order_aic(data, max_order):
+    """Reference AIC: one `fit_var` per order, then ln det of its covariance."""
+    t_total, m = data.shape
+    scores = np.empty(max_order + 1)
+    for p in range(max_order + 1):
+        sign, logdet = np.linalg.slogdet(fit_var(data, p).noise_cov)
+        scores[p] = t_total * logdet + 2.0 * p * m * m if sign > 0 else np.inf
+    return int(np.argmin(scores)), scores
+
+
+def _sea_recording():
+    geom = default_geometry(default_config("sim"))
+    return synth_sea_recording(geom, 20.0, np.random.default_rng(8))
+
+
+def _zero_channel_recording():
+    data = NoiseStream(known_var2(), np.random.default_rng(9)).take(2000)
+    data[:, 2] = 0.0
+    return data
+
+
+@pytest.mark.parametrize("make, max_order", [
+    (lambda: NoiseStream(known_var2(), np.random.default_rng(7)).take(20_000), 5),
+    (_sea_recording, 12),
+    (lambda: NoiseStream(known_var2(), np.random.default_rng(10)).take(500), 0),
+    (_zero_channel_recording, 4),
+], ids=["var2", "sea-8ch", "max-order-0", "zero-channel"])
+def test_select_order_matches_per_order_fits(make, max_order):
+    """The one-Gram-matrix scores equal a VAR fit per order, to 1e-9 relative."""
+    data = make()
+    order, scores = select_order(data, max_order)
+    want_order, want = per_order_aic(data, max_order)
+    assert order == want_order
+    np.testing.assert_allclose(scores, want, rtol=1e-9, atol=0.0)
+
+
+def test_select_order_zero_channel_scores_inf_and_picks_zero():
+    """An all-zero channel makes every Sigma_w singular, the ridge path included."""
+    order, scores = select_order(_zero_channel_recording(), 4)
+    assert order == 0
+    assert np.isposinf(scores).all()
+
+
+def test_select_order_rejects_non_2d_data():
+    with pytest.raises(FitError, match=r"data must be \(T, M\), got shape \(100,\)"):
+        select_order(np.zeros(100), 2)
+
+
+def test_select_order_checks_sample_count_against_max_order():
+    """Too short for max_order fails up front and names max_order, not a smaller order."""
+    data = np.random.default_rng(11).standard_normal((60, 4))
+    with pytest.raises(FitError, match=r"= 61 samples for max_order 12, got 60"):
+        select_order(data, 12)
+    assert select_order(data, 11)[1].shape == (12,)
 
 
 def test_stream_matches_batch_simulation():

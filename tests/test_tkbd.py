@@ -37,6 +37,24 @@ def test_reflect_frozen_pairs():
         assert reflect_bearing(np.array([raw]))[0] == pytest.approx(folded)
 
 
+def fold_every_entry(psi_deg):
+    """Reference fold: np.mod over every entry, in range or not."""
+    folded = np.mod(np.asarray(psi_deg, dtype=float) + BEARING_LIMIT_DEG, 360.0)
+    folded = np.where(folded > 180.0, 360.0 - folded, folded)
+    return folded - BEARING_LIMIT_DEG
+
+
+def test_reflect_is_bit_identical_to_folding_every_entry():
+    rng = np.random.default_rng(12)
+    edges = [90.0, -90.0, 180.0, -180.0, 270.0, 1e6, -1e6, 0.0, np.nan]
+    psi = np.concatenate([rng.uniform(-90.0, 90.0, 5000), rng.uniform(-500.0, 500.0, 5000),
+                          np.nextafter(90.0, [0.0, 180.0]),
+                          np.nextafter(-90.0, [0.0, -180.0]), edges])
+    got, want = reflect_bearing(psi), fold_every_entry(psi)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isnan(got[-1])
+
+
 @settings(max_examples=100, deadline=None)
 @given(psi=st.floats(-1000.0, 1000.0))
 def test_reflection_invariants(psi):
