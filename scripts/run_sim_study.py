@@ -29,8 +29,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=study.MASTER_SEED, help="master seed")
     parser.add_argument("--free-seed", type=int, default=study.TARGET_FREE_SEED,
                         help="separate seed for the target-free verification")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process count for the run loop")
+    parser.add_argument("--workers", type=int, default=study.N_WORKERS,
+                        help="process count for calibration and the run loop "
+                             f"(default min(2, cpu count) = {study.N_WORKERS})")
     parser.add_argument("--out", help="write the per-variant summary CSV here")
     args = parser.parse_args(argv)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 
 class GeometryError(ValueError):
-    """Raised for non-finite positions or non-positive rates."""
+    """Raised for non-finite or coincident positions or non-positive rates."""
 
 
 class BatchShapeError(ValueError):
@@ -55,6 +55,10 @@ class ArrayGeometry:
             raise GeometryError(f"positions must be (M, 2), got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise GeometryError("positions must be finite")
+        same = np.triu(np.all(pos[:, None] == pos[None], axis=-1), k=1)
+        if same.any():
+            i, j = np.argwhere(same)[0]
+            raise GeometryError(f"elements {i} and {j} share the position {pos[i].tolist()}")
         if not (self.speed_of_sound > 0 and np.isfinite(self.speed_of_sound)):
             raise GeometryError("speed_of_sound must be positive")
         if not (self.sample_rate > 0 and np.isfinite(self.sample_rate)):

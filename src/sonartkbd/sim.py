@@ -244,7 +244,7 @@ _META_KEYS = {
     "sample_rate": (_is_number, "a number"),
     "n_per_batch": (lambda v: _is_number(v, int) and v > 0 and v % 2 == 0,
                     "a positive even integer"),
-    "n_batches": (lambda v: _is_number(v, int) and v >= 0, "a non-negative integer"),
+    "n_batches": (lambda v: _is_number(v, int) and v > 0, "a positive integer"),
 }
 
 
@@ -267,6 +267,9 @@ def load_dataset(path) -> Dataset:
         if not valid(meta[key]):
             raise DatasetError(f"{meta_path}: {key} must be {requirement}, "
                                f"got {meta[key]!r:.40}")
+    seed = meta.get("seed")
+    if not (seed is None or _is_number(seed, int)):
+        raise DatasetError(f"{meta_path}: seed must be an integer or null, got {seed!r:.40}")
     try:
         geom = ArrayGeometry(np.asarray(meta["positions"], dtype=float),
                              meta["speed_of_sound"], meta["sample_rate"])
@@ -295,5 +298,5 @@ def load_dataset(path) -> Dataset:
         times = (rows[:, 0] + 0.5) * meta["n_per_batch"] / geom.sample_rate
         truth = ScenarioTruth(rows[:, 0].astype(int), times, rows[:, 1],
                               rows[:, 2], rows[:, 3])
-    return Dataset(geom, samples, meta["n_per_batch"], truth, meta.get("seed"),
+    return Dataset(geom, samples, meta["n_per_batch"], truth, seed,
                    meta.get("extra", {}))

@@ -43,8 +43,8 @@ def t_log_lr(energy, z_norm_sq, eta, params: TModelParams):
     ----------
     energy : float or ndarray
         Beamformed energy B at the hypothesised bearing.
-    z_norm_sq : float
-        Squared norm of the whole whitened batch.
+    z_norm_sq : float or ndarray
+        Squared norm of the whole whitened batch, >= 0. Broadcast like `eta`.
     eta : float or ndarray
         Hypothesised linear SNR, >= 0. Broadcast against `energy`.
     params : TModelParams
@@ -59,7 +59,7 @@ def t_log_lr(energy, z_norm_sq, eta, params: TModelParams):
     eta = np.asarray(eta, dtype=float)
     if np.any(eta < 0):
         raise DomainError("eta must be nonnegative")
-    if z_norm_sq < 0:
+    if np.any(np.asarray(z_norm_sq) < 0):
         raise DomainError("z_norm_sq must be nonnegative")
     n, m, nu = params.n_samples, params.n_channels, params.dof
     c = eta / ((nu + z_norm_sq) * (1.0 + m * eta))

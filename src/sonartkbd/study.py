@@ -11,6 +11,7 @@ matters because the observed stream carries the heavy-tailed batch scale.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -39,6 +40,7 @@ MASTER_SEED = 42
 TARGET_FREE_SEED = 777  # a separate seed for the target-free verification runs
 N_RUNS = 20  # Monte-Carlo runs per variant, with target and target free
 N_CAL_RUNS = 6  # target-free calibration datasets
+N_WORKERS = min(2, os.cpu_count() or 1)  # processes for calibration and the runs
 
 
 def default_geometry(cfg: PipelineConfig) -> ArrayGeometry:
@@ -157,6 +159,15 @@ def _scored_pass(dataset: Dataset, variant: str, cfg: PipelineConfig, model: Var
     return track, make_run_report(track, dataset.truth, cfg)
 
 
+def _map_jobs(fn, jobs: list, workers: int) -> list:
+    """`fn` over `jobs` in order, fanned out over a fresh process pool when
+    `workers` > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 def _one_run(args) -> list[StudyRun]:
     (run_idx, cfgs, geom, ambient, model, model0, master_seed, target_free) = args
     base_cfg = next(iter(cfgs.values()))
@@ -179,11 +190,7 @@ def run_study(cfgs: dict[str, PipelineConfig], geom: ArrayGeometry, ambient: Var
     """
     jobs = [(r, cfgs, geom, ambient, model, model0, master_seed, target_free)
             for r in range(n_runs)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(_one_run, jobs))
-    else:
-        nested = [_one_run(j) for j in jobs]
+    nested = _map_jobs(_one_run, jobs, workers)
     out: dict[str, list[StudyRun]] = {v: [] for v in cfgs}
     for batch in nested:
         for item in batch:
@@ -210,15 +217,10 @@ def generate_calibration_data(cfg: PipelineConfig, geom: ArrayGeometry,
             for r in range(n_runs)]
 
 
-def _false_tracks_on(datasets: list[Dataset], variant: str, cfg: PipelineConfig,
-                     model: VarModel, model0: VarModel, master_seed: int,
-                     step: int) -> int:
-    count = 0
-    for i, ds in enumerate(datasets):
-        lane = (master_seed, SEED_CALIBRATE, i, step)
-        _, report = _scored_pass(ds, variant, cfg, model, model0, lane)
-        count += report.first_confirm is not None
-    return count
+def _confirms(args) -> bool:
+    """Whether one calibration pass makes a sustained (false) confirmation."""
+    _, report = _scored_pass(*args)
+    return report.first_confirm is not None
 
 
 def _calibration_candidate(variant: str, cfg: PipelineConfig,
@@ -234,7 +236,8 @@ def _calibration_candidate(variant: str, cfg: PipelineConfig,
 
 def calibrate_variant(variant: str, cfg: PipelineConfig, datasets: list[Dataset],
                       model: VarModel, model0: VarModel, master_seed: int,
-                      step_db: float = 2.0, margin_steps: int = 1) -> CalibrationResult:
+                      step_db: float = 2.0, margin_steps: int = 1,
+                      workers: int = 1) -> CalibrationResult:
     """Back sensitivity off until target-free runs stay clean.
 
     Starting at the configured setting, each step desensitises by
@@ -250,7 +253,9 @@ def calibrate_variant(variant: str, cfg: PipelineConfig, datasets: list[Dataset]
     empty (a sweep over no data would pass its first step on no evidence),
     or if `step_db` is not a finite number > 0 or `margin_steps` is
     negative, either of which would make the calibrated setting more
-    sensitive than the configured one.
+    sensitive than the configured one. Each step's passes, one per dataset,
+    fan out over processes when `workers` > 1; every pass keeps its own
+    seed lane, so the result does not depend on `workers`.
     """
     if not datasets:
         raise ValueError("calibration needs at least one target-free dataset")
@@ -262,8 +267,9 @@ def calibrate_variant(variant: str, cfg: PipelineConfig, datasets: list[Dataset]
     clean_step: int | None = None
     for step in range(MAX_CALIBRATION_STEPS + 1):
         setting, candidate = _calibration_candidate(variant, cfg, step_db * step)
-        false_tracks = _false_tracks_on(datasets, variant, candidate, model, model0,
-                                        master_seed, step)
+        jobs = [(ds, variant, candidate, model, model0,
+                 (master_seed, SEED_CALIBRATE, i, step)) for i, ds in enumerate(datasets)]
+        false_tracks = sum(_map_jobs(_confirms, jobs, workers))
         trace.append((setting, false_tracks))
         if false_tracks == 0:
             clean_step = step
@@ -308,7 +314,8 @@ def calibrated_study(cfg: PipelineConfig, seed: int = MASTER_SEED,
                      n_cal_runs: int = N_CAL_RUNS, workers: int = 1) -> CalibratedStudy:
     """Calibrate every variant on `n_cal_runs` target-free datasets, then score
     it on `n_runs` target runs from `seed` and `n_runs` target-free runs from
-    `free_seed`, in the default environment built from `cfg`. Raises
+    `free_seed`, in the default environment built from `cfg`. Calibration
+    passes and study runs both fan out over `workers` processes. Raises
     ValueError, before any work, if a count is below 1."""
     for name, value in (("n_runs", n_runs), ("n_cal_runs", n_cal_runs),
                         ("workers", workers)):
@@ -318,7 +325,8 @@ def calibrated_study(cfg: PipelineConfig, seed: int = MASTER_SEED,
     ambient, _ = default_ambient_model(geom)
     model, model0 = fit_observed_models(scenario_from_config(cfg, geom, ambient), seed)
     cal_sets = generate_calibration_data(cfg, geom, ambient, n_cal_runs, seed)
-    calibrations = {v: calibrate_variant(v, cfg, cal_sets, model, model0, seed)
+    calibrations = {v: calibrate_variant(v, cfg, cal_sets, model, model0, seed,
+                                         workers=workers)
                     for v in VARIANTS}
     cfgs = {v: c.config for v, c in calibrations.items()}
     with_target = run_study(cfgs, geom, ambient, model, model0, n_runs, seed,

@@ -3,7 +3,8 @@
 Run with `python3 -m pytest tests/test_acceptance.py -v -s` to see the
 per-criterion lines. Criteria 06-08 share one Monte-Carlo study fixture,
 `study.calibrated_study` with its default protocol (calibration on 6
-target-free datasets, then 20 target runs plus 20 target-free runs);
+target-free datasets, then 20 target runs plus 20 target-free runs) on
+`study.N_WORKERS` = min(2, cpu count) processes;
 everything else is self-contained and fast.
 """
 
@@ -19,7 +20,7 @@ from sonartkbd.config import default_config
 from sonartkbd.evaluate import OspaParams, ospa_single
 from sonartkbd.noise import NoiseStream, VarModel, fit_var, whiten
 from sonartkbd.stats import TModelParams, gauss_log_lr, t_log_lr
-from sonartkbd.study import N_RUNS, calibrated_study
+from sonartkbd.study import N_RUNS, N_WORKERS, calibrated_study
 from sonartkbd.tkbd import BernoulliBelief, update
 from test_stats import t_logpdf_full
 
@@ -39,7 +40,7 @@ def stacked_shift_operator(n, shifts):
 def study():
     """Calibrate every variant, then run the paired Monte-Carlo studies."""
     t0 = perf_counter()
-    summaries = calibrated_study(default_config("sim")).summaries
+    summaries = calibrated_study(default_config("sim"), workers=N_WORKERS).summaries
     return {"summaries": summaries, "wall_s": perf_counter() - t0}
 
 

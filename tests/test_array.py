@@ -42,10 +42,19 @@ def test_geometry_rejects_bad_positions():
         ArrayGeometry(np.zeros((3,)), 1500.0, 375.0)
     with pytest.raises(GeometryError):
         ArrayGeometry(np.array([[0.0, np.nan]]), 1500.0, 375.0)
-    with pytest.raises(GeometryError):
-        ArrayGeometry(np.zeros((2, 2)), -1.0, 375.0)
-    with pytest.raises(GeometryError):
-        ArrayGeometry(np.zeros((2, 2)), 1500.0, 0.0)
+    pair = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(GeometryError, match="speed_of_sound"):
+        ArrayGeometry(pair, -1.0, 375.0)
+    with pytest.raises(GeometryError, match="sample_rate"):
+        ArrayGeometry(pair, 1500.0, 0.0)
+
+
+def test_geometry_rejects_coincident_elements():
+    """A zero-aperture pair cannot be steered; the error names both elements."""
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(GeometryError, match="elements 1 and 3 share"):
+        ArrayGeometry(pos, 1500.0, 375.0)
+    assert ArrayGeometry(pos[:3], 1500.0, 375.0).n_channels == 3
 
 
 def test_broadside_delays_are_zero():

@@ -336,7 +336,9 @@ def _edit_meta(meta, **changes):
     ("meta.json", lambda m: _edit_meta(m, positions=None), "'positions'"),
     ("meta.json", lambda m: _edit_meta(m, n_batches=None), "'n_batches'"),
     ("meta.json", lambda m: _edit_meta(m, n_batches="x"),
-     "n_batches must be a non-negative integer"),
+     "n_batches must be a positive integer"),
+    ("meta.json", lambda m: _edit_meta(m, n_batches=0), "n_batches must be a positive integer"),
+    ("meta.json", lambda m: _edit_meta(m, seed="abc"), "seed must be an integer or null"),
     ("meta.json", lambda m: _edit_meta(m, n_per_batch=63),
      "n_per_batch must be a positive even integer"),
     ("meta.json", lambda m: _edit_meta(m, sample_rate="fast"), "sample_rate must be a number"),
@@ -346,7 +348,8 @@ def _edit_meta(meta, **changes):
     ("c.ini", lambda t: t.replace(f"config_version = {CONFIG_VERSION}", "config_version = 1"),
      "unsupported config_version 1"),
     ("c.ini", lambda t: t.replace("profile = sim", "profile = marine"), "meta.profile"),
-], ids=["no-positions", "no-n_batches", "n_batches-string", "odd-n_per_batch",
+], ids=["no-positions", "no-n_batches", "n_batches-string", "n_batches-zero",
+        "seed-string", "odd-n_per_batch",
         "sample_rate-string", "positions-shape", "version-abc", "version-1", "profile"])
 def test_bad_metadata_or_config_header_fails_with_one_line(workdir, tmp_path, capsys,
                                                            file, edit, expect):
@@ -365,6 +368,20 @@ def test_bad_metadata_or_config_header_fails_with_one_line(workdir, tmp_path, ca
     line = _one_error_line(capsys)
     assert str(path) in line and expect in line
     assert len(line) < 200
+
+
+def test_coincident_hydrophones_fail_with_one_line(workdir, tmp_path, capsys):
+    """A zero-aperture array is refused, not tracked."""
+    ds = tmp_path / "ds"
+    shutil.copytree(workdir / "ds", ds)
+    meta = json.loads((ds / "meta.json").read_text())
+    meta["positions"] = [meta["positions"][0]] * len(meta["positions"])
+    (ds / "meta.json").write_text(json.dumps(meta))
+    assert main(["track", "--config", str(workdir / "config.ini"), "--data", str(ds),
+                 "--variant", "cfar", "--out", str(tmp_path / "t.csv")]) == 1
+    line = _one_error_line(capsys)
+    assert str(ds / "meta.json") in line and "elements 0 and 1 share" in line
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("variant, key, value", [

@@ -153,3 +153,18 @@ def test_nyquist_delay_spectrum_feeds_real_energies():
     # half-sample delay pushes the Nyquist coefficient through cos(pi/2) = 0
     gamma = delay_spectrum(0.5 / 375.0, 8, 375.0)
     assert gamma[4] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_t_log_lr_takes_an_array_of_batch_energies():
+    """One call over K batches equals K scalar calls, row for row, bit for bit."""
+    prm = params()
+    rng = np.random.default_rng(31)
+    z2 = rng.uniform(10.0, 40.0, size=5)
+    energy = rng.uniform(0.0, 1.0, size=(5, 7)) * z2[:, None]
+    eta = rng.uniform(0.0, 2.0, size=7)
+    bulk = t_log_lr(energy, z2[:, None], eta, prm)
+    for k in range(5):
+        assert np.array_equal(bulk[k], t_log_lr(energy[k], float(z2[k]), eta, prm))
+    z2[3] = -1.0
+    with pytest.raises(DomainError, match="z_norm_sq"):
+        t_log_lr(energy, z2[:, None], eta, prm)

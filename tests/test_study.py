@@ -70,6 +70,24 @@ def test_calibrated_study_equals_the_hand_composed_protocol():
                                                            target_free[variant])
 
 
+def test_worker_count_does_not_change_calibration():
+    """Each sweep pass keeps its seed lane, so two workers sweep as one does.
+
+    The touchy cfar setting makes the sweep take several steps with mixed
+    false-track counts (3, 2, 2, 1, ... 0 over the three datasets)."""
+    cfg = short_config()
+    geom = default_geometry(cfg)
+    ambient, ambient0 = default_ambient_model(geom)
+    cal_sets = generate_calibration_data(cfg, geom, ambient, 3, 5)
+    touchy = replace(cfg, filter_confirm_threshold=0.1, eval_min_confirm_run=1,
+                     clutter_rate=0.01)
+    for variant, c in (("tvar", cfg), ("cfar", touchy)):
+        serial, pooled = (calibrate_variant(variant, c, cal_sets, ambient, ambient0, 5,
+                                            workers=workers) for workers in (1, 2))
+        assert pooled.trace == serial.trace and pooled.config == serial.config
+    assert len(serial.trace) > 2 and len({n for _, n in serial.trace}) > 2
+
+
 def test_calibration_refuses_no_datasets():
     """A sweep over no data would call its first setting clean."""
     with pytest.raises(ValueError, match="at least one"):
