@@ -308,4 +308,9 @@ def load_var(path) -> VarModel:
         raise ModelFileError(f"{path}: non-finite {part} value")
     coeffs = body[:p * m * m].reshape(p, m, m)
     sigma = body[p * m * m:].reshape(m, m)
-    return VarModel(coeffs.copy(), sigma.copy())
+    model = VarModel(coeffs.copy(), sigma.copy())
+    try:
+        model.noise_chol()
+    except np.linalg.LinAlgError as err:
+        raise ModelFileError(f"{path}: covariance is not positive definite") from err
+    return model

@@ -30,7 +30,7 @@ from .config import PipelineConfig
 from .detect import cfar_detections, detection_log_lr
 from .noise import VarModel, whiten
 from .sim import Dataset
-from .stats import TModelParams, gauss_log_lr, t_log_lr
+from .stats import gauss_log_lr, t_log_lr
 from .tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, PSIDOT, BernoulliBelief,
                    LikelihoodField, extract, predict, update)
 
@@ -117,7 +117,7 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
         raise ValueError(f"variant {variant!r} needs a noise model")
     if variant == "tvar0" and model.order != 0:
         raise ValueError("tvar0 expects an order-0 noise model")
-    params = TModelParams(cfg.tmodel_dof, dataset.n_per_batch, dataset.geometry.n_channels)
+    nu, n, m = cfg.tmodel_dof, dataset.n_per_batch, dataset.geometry.n_channels
     gaussian = variant == "gvar"
     energies, z_norm_sq, warmup = beam_energies(dataset, grid, model)
 
@@ -125,7 +125,7 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
         def loglr(psi_deg, eta_db):
             b = np.interp(psi_deg, bearings, row)
             eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
-            return gauss_log_lr(b, eta, params) if gaussian else t_log_lr(b, z2, eta, params)
+            return gauss_log_lr(b, eta, n, m) if gaussian else t_log_lr(b, z2, eta, nu, n, m)
         return LikelihoodField(bearings, eta_grid, loglr)
     return [None if k < warmup else batch_field(energies[k], float(z_norm_sq[k]))
             for k in range(energies.shape[0])]

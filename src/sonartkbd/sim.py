@@ -1,8 +1,8 @@
 """Scenario simulator and dataset persistence.
 
-One scenario is a target moving along a Cartesian polyline at constant
-speed past a hydrophone array sitting in correlated ambient noise. Batches
-are synthesised back to front from the measurement model: a white source
+One scenario is a target running in a straight line at constant speed past
+a hydrophone array sitting in correlated ambient noise. Batches are
+synthesised back to front from the measurement model: a white source
 batch is pushed through the per-channel fractional-delay steering for the
 target's current bearing, VAR noise is streamed continuously underneath,
 and every batch is scaled jointly by sqrt(nu / c_k) with one chi-square
@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .array import ArrayGeometry, apply_steering, make_steering
+from .config import PipelineConfig
 from .noise import NoiseStream, VarModel
 
 
@@ -40,49 +41,38 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Target path, SNR mapping and noise environment for one simulation.
+    """Straight target run and noise environment for one simulation.
 
-    waypoints : (W, 2) polyline in metres, traversed at `speed` m/s
-    duration : seconds of data; None means the full traversal time
-    n_per_batch : samples per batch (even)
-    ref_range / spread_exponent : SNR map parameters
-    sim_dof : chi-square degrees of freedom for the per-batch scale
+    start / end : (2,) points in metres; the target runs from start to end
+    cfg : the config it was built from, whose `scenario_*` fields set the
+        speed, the duration (0 means the whole run), the SNR law and the
+        batch-scale dof, and whose `batch_samples` sets the batch length
 
-    `study.scenario_from_config` builds it; everything but the geometry,
-    the ambient model and the waypoints comes already checked from
-    `PipelineConfig`'s `scenario_*` and `batch_samples` fields.
+    `study.scenario_from_config` builds it.
     """
 
     geometry: ArrayGeometry
     ambient: VarModel
-    waypoints: np.ndarray
-    speed: float
-    duration: float | None
-    n_per_batch: int
-    ref_range: float
-    spread_exponent: float
-    sim_dof: float
+    start: np.ndarray
+    end: np.ndarray
+    cfg: PipelineConfig
 
     def __post_init__(self):
-        wp = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
-        if wp.shape[0] < 2 or wp.shape[1] != 2:
-            raise ScenarioError(f"waypoints must be (W>=2, 2), got {wp.shape}")
         if self.ambient.n_channels != self.geometry.n_channels:
             raise ScenarioError(f"ambient model has {self.ambient.n_channels} channels, "
                                 f"the array has {self.geometry.n_channels}")
-        object.__setattr__(self, "waypoints", wp)
 
     @property
     def path_seconds(self) -> float:
-        seg = np.diff(self.waypoints, axis=0)
-        return float(np.hypot(seg[:, 0], seg[:, 1]).sum() / self.speed)
+        seg = self.end - self.start
+        return float(np.hypot(seg[0], seg[1]) / self.cfg.scenario_speed_mps)
 
     @property
     def batch_period(self) -> float:
-        return self.n_per_batch / self.geometry.sample_rate
+        return self.cfg.batch_samples / self.geometry.sample_rate
 
     def n_batches(self) -> int:
-        total = self.duration if self.duration is not None else self.path_seconds
+        total = self.cfg.scenario_duration_s or self.path_seconds
         if total > self.path_seconds + 1e-9:
             raise ScenarioError(
                 f"duration {total:.1f} s exceeds the {self.path_seconds:.1f} s traversal")
@@ -119,19 +109,16 @@ class ScenarioTruth:
 
 
 def truth_from_path(scenario: Scenario) -> ScenarioTruth:
-    """Ground truth evaluated at every batch centre along the polyline."""
+    """Ground truth at every batch centre; the target stops at the end point."""
+    cfg = scenario.cfg
     n = scenario.n_batches()
     times = (np.arange(n) + 0.5) * scenario.batch_period
-    wp = scenario.waypoints
-    seg = np.diff(wp, axis=0)
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    dist = np.minimum(times * scenario.speed, cum[-1])
-    k = np.clip(np.searchsorted(cum, dist, side="right") - 1, 0, len(seg_len) - 1)
-    frac = (dist - cum[k]) / np.where(seg_len[k] > 0, seg_len[k], 1.0)
-    xy = wp[k] + seg[k] * frac[:, None]
+    seg = scenario.end - scenario.start
+    length = np.hypot(seg[0], seg[1])
+    frac = np.minimum(times * cfg.scenario_speed_mps, length) / length
+    xy = scenario.start + seg * frac[:, None]
     psi, rng = bearing_range_from_xy(scenario.geometry, xy)
-    eta = snr_db_at_range(rng, scenario.ref_range, scenario.spread_exponent)
+    eta = snr_db_at_range(rng, cfg.scenario_ref_range_m, cfg.scenario_spread_exponent)
     return ScenarioTruth(np.arange(n), times, psi, eta, rng)
 
 
@@ -153,7 +140,7 @@ def generate_batch(scenario: Scenario, psi_deg: float, eta_db: float | None,
     happens for every batch either way so target-free data has the same
     heavy-tailed batch statistics.
     """
-    n = scenario.n_per_batch
+    n = scenario.cfg.batch_samples
     e = noise.take(n)
     if eta_db is not None:
         sigma_s = np.sqrt(10.0 ** (eta_db / 10.0) * noise_power)
@@ -162,8 +149,8 @@ def generate_batch(scenario: Scenario, psi_deg: float, eta_db: float | None,
         batch = apply_steering(op, source) + e
     else:
         batch = e
-    c = rng.chisquare(scenario.sim_dof)
-    return np.sqrt(scenario.sim_dof / c) * batch
+    c = rng.chisquare(scenario.cfg.scenario_sim_dof)
+    return np.sqrt(scenario.cfg.scenario_sim_dof / c) * batch
 
 
 @dataclass
@@ -189,10 +176,11 @@ def generate_dataset(scenario: Scenario, rng: np.random.Generator,
     The noise stream runs continuously across batches; the target-free flag
     keeps the truth trajectory (for reference) but injects no signal.
     """
+    cfg = scenario.cfg
     truth = truth_from_path(scenario)
     noise = NoiseStream(scenario.ambient, rng)
     power = channel_noise_power(scenario.ambient)
-    n = scenario.n_per_batch
+    n = cfg.batch_samples
     out = np.empty((truth.batch_index.size * n, scenario.geometry.n_channels))
     for k in truth.batch_index:
         eta = None if target_free else float(truth.eta_db[k])
@@ -200,11 +188,11 @@ def generate_dataset(scenario: Scenario, rng: np.random.Generator,
             scenario, float(truth.psi_deg[k]), eta, noise, rng, power)
     meta = {
         "target_free": bool(target_free),
-        "speed": scenario.speed,
-        "ref_range": scenario.ref_range,
-        "spread_exponent": scenario.spread_exponent,
-        "sim_dof": scenario.sim_dof,
-        "waypoints": scenario.waypoints.tolist(),
+        "speed": cfg.scenario_speed_mps,
+        "ref_range": cfg.scenario_ref_range_m,
+        "spread_exponent": cfg.scenario_spread_exponent,
+        "sim_dof": cfg.scenario_sim_dof,
+        "waypoints": [scenario.start.tolist(), scenario.end.tolist()],
     }
     return Dataset(scenario.geometry, out, n, truth, seed, meta)
 
@@ -295,6 +283,12 @@ def load_dataset(path) -> Dataset:
                                f"eta_db, range_m), found {rows.shape[1]}")
         if rows.shape[0] != meta["n_batches"]:
             raise DatasetError(f"{truth_path}: row count does not match n_batches")
+        bad = (~np.isfinite(rows).all(axis=1) | (rows[:, 0] != np.arange(rows.shape[0]))
+               | (rows[:, 3] <= 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DatasetError(f"{truth_path}: data row {i + 1} needs finite values, "
+                               f"batch_index {i} and range_m > 0")
         times = (rows[:, 0] + 0.5) * meta["n_per_batch"] / geom.sample_rate
         truth = ScenarioTruth(rows[:, 0].astype(int), times, rows[:, 1],
                               rows[:, 2], rows[:, 3])

@@ -12,8 +12,6 @@ dense multivariate-t density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -21,22 +19,7 @@ class DomainError(ValueError):
     """Raised when likelihood inputs leave the valid domain."""
 
 
-@dataclass(frozen=True)
-class TModelParams:
-    """Shape of the per-batch measurement model.
-
-    dof : degrees of freedom nu of the multivariate t, `PipelineConfig`'s
-        `tmodel_dof` (checked there to exceed 2)
-    n_samples : batch length N, from a checked dataset
-    n_channels : channel count M, from a checked dataset
-    """
-
-    dof: float
-    n_samples: int
-    n_channels: int
-
-
-def t_log_lr(energy, z_norm_sq, eta, params: TModelParams):
+def t_log_lr(energy, z_norm_sq, eta, dof, n_samples, n_channels):
     """Log likelihood ratio of target-at-eta versus noise only, t model.
 
     Parameters
@@ -47,7 +30,11 @@ def t_log_lr(energy, z_norm_sq, eta, params: TModelParams):
         Squared norm of the whole whitened batch, >= 0. Broadcast like `eta`.
     eta : float or ndarray
         Hypothesised linear SNR, >= 0. Broadcast against `energy`.
-    params : TModelParams
+    dof : float
+        Degrees of freedom nu of the multivariate t, `PipelineConfig`'s
+        `tmodel_dof` (checked there to exceed 2).
+    n_samples, n_channels : int
+        Batch length N and channel count M, from a checked dataset.
 
     Returns
     -------
@@ -61,7 +48,7 @@ def t_log_lr(energy, z_norm_sq, eta, params: TModelParams):
         raise DomainError("eta must be nonnegative")
     if np.any(np.asarray(z_norm_sq) < 0):
         raise DomainError("z_norm_sq must be nonnegative")
-    n, m, nu = params.n_samples, params.n_channels, params.dof
+    n, m, nu = n_samples, n_channels, dof
     c = eta / ((nu + z_norm_sq) * (1.0 + m * eta))
     arg = -c * b
     if np.any(arg <= -1.0):
@@ -70,7 +57,7 @@ def t_log_lr(energy, z_norm_sq, eta, params: TModelParams):
     return out if out.ndim else float(out)
 
 
-def gauss_log_lr(energy, eta, params: TModelParams):
+def gauss_log_lr(energy, eta, n_samples, n_channels):
     """Gaussian-model counterpart of :func:`t_log_lr`.
 
     ln L = -(N/2) ln(M eta + 1) + eta B / (2 (1 + M eta)). This is the
@@ -80,6 +67,6 @@ def gauss_log_lr(energy, eta, params: TModelParams):
     eta = np.asarray(eta, dtype=float)
     if np.any(eta < 0):
         raise DomainError("eta must be nonnegative")
-    n, m = params.n_samples, params.n_channels
+    n, m = n_samples, n_channels
     out = -0.5 * n * np.log1p(m * eta) + eta * b / (2.0 * (1.0 + m * eta))
     return out if out.ndim else float(out)

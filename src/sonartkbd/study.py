@@ -98,18 +98,7 @@ def scenario_from_config(cfg: PipelineConfig, geom: ArrayGeometry,
 
     start = point(cfg.scenario_start_bearing_deg, cfg.scenario_start_range_m)
     end = point(cfg.scenario_end_bearing_deg, cfg.scenario_end_range_m)
-    duration = cfg.scenario_duration_s if cfg.scenario_duration_s > 0 else None
-    return Scenario(
-        geometry=geom,
-        ambient=ambient,
-        waypoints=np.vstack([start, end]),
-        speed=cfg.scenario_speed_mps,
-        duration=duration,
-        n_per_batch=cfg.batch_samples,
-        ref_range=cfg.scenario_ref_range_m,
-        spread_exponent=cfg.scenario_spread_exponent,
-        sim_dof=cfg.scenario_sim_dof,
-    )
+    return Scenario(geom, ambient, start, end, cfg)
 
 
 def fit_observed_models(scenario: Scenario, master_seed: int) -> tuple[VarModel, VarModel]:

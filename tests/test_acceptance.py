@@ -17,9 +17,9 @@ import pytest
 from sonartkbd.array import (ArrayGeometry, apply_steering, delay_spectrum,
                              make_steering, steering_delays)
 from sonartkbd.config import default_config
-from sonartkbd.evaluate import OspaParams, ospa_single
+from sonartkbd.evaluate import ospa_single
 from sonartkbd.noise import NoiseStream, VarModel, fit_var, whiten
-from sonartkbd.stats import TModelParams, gauss_log_lr, t_log_lr
+from sonartkbd.stats import gauss_log_lr, t_log_lr
 from sonartkbd.study import N_RUNS, N_WORKERS, calibrated_study
 from sonartkbd.tkbd import BernoulliBelief, update
 from test_stats import t_logpdf_full
@@ -47,7 +47,6 @@ def study():
 def test_criterion_01_collapsed_ratio_matches_dense_t():
     """Beam-energy form of the t log-ratio against the full-covariance pdf."""
     n, m, dof = 8, 3, 5.0
-    params = TModelParams(dof, n, m)
     rng = np.random.default_rng(1001)
     t0 = perf_counter()
     worst = 0.0
@@ -58,7 +57,7 @@ def test_criterion_01_collapsed_ratio_matches_dense_t():
         eta = float(rng.uniform(0.05, 2.0))
         z = rng.standard_normal(n * m)
         fast = t_log_lr(float(np.sum((h.T @ z) ** 2)), float(z @ z), eta,
-                        params)
+                        dof, n, m)
         dense = (t_logpdf_full(z, dof, eta * (h @ h.T) + eye)
                  - t_logpdf_full(z, dof, eye))
         worst = max(worst, abs(float(fast) - dense))
@@ -70,13 +69,13 @@ def test_criterion_01_collapsed_ratio_matches_dense_t():
 
 def test_criterion_02_zero_snr_is_exactly_neutral():
     """eta = 0 gives a bit-exact zero ratio and leaves existence untouched."""
-    params = TModelParams(5.0, 16, 4)
+    n, m, dof = 16, 4, 5.0
     rng = np.random.default_rng(1002)
     exact_zero = True
     for _ in range(10):
-        z2 = float(rng.uniform(0.5, 2.0) * params.n_samples * params.n_channels)
-        energy = rng.uniform(0.0, params.n_channels, size=100) * z2
-        vals = t_log_lr(energy, z2, 0.0, params)
+        z2 = float(rng.uniform(0.5, 2.0) * n * m)
+        energy = rng.uniform(0.0, m, size=100) * z2
+        vals = t_log_lr(energy, z2, 0.0, dof, n, m)
         exact_zero = exact_zero and bool(np.all(vals == 0.0))
 
     fparams = replace(default_config("sim"), filter_n_persist=500, filter_n_birth=100)
@@ -95,16 +94,14 @@ def test_criterion_02_zero_snr_is_exactly_neutral():
 def test_criterion_03_gaussian_limit():
     """Huge-dof t ratio collapses onto the Gaussian energy detector."""
     n, m = 16, 4
-    params_t = TModelParams(1e8, n, m)
-    params_g = TModelParams(5.0, n, m)  # gauss_log_lr ignores dof
     rng = np.random.default_rng(1003)
     worst = 0.0
     for _ in range(1000):
         z2 = float(rng.uniform(0.5, 2.0) * n * m)
         energy = float(rng.uniform(0.0, 0.9) * m * z2)
         eta = float(rng.uniform(0.05, 2.0))
-        t_val = float(t_log_lr(energy, z2, eta, params_t))
-        g_val = float(gauss_log_lr(energy, eta, params_g))
+        t_val = float(t_log_lr(energy, z2, eta, 1e8, n, m))
+        g_val = float(gauss_log_lr(energy, eta, n, m))
         worst = max(worst, abs(t_val - g_val) / max(abs(g_val), 1e-4))
     ok = worst < 1e-3
     criterion(3, ok, f"max rel err = {worst:.3e} over 1000 inputs (tol 1e-3)")
@@ -203,11 +200,10 @@ def test_criterion_08_no_false_tracks_when_calibrated(study):
 
 
 def test_criterion_09_ospa_edge_cases():
-    p = OspaParams(cutoff=30.0)
-    miss = ospa_single(None, 12.0, p)
-    hit = ospa_single([12.0], 12.0, p)
-    far = ospa_single([-80.0], 12.0, p)
-    near = ospa_single([15.5], 12.0, p)
+    miss = ospa_single(None, 12.0, 30.0)
+    hit = ospa_single([12.0], 12.0, 30.0)
+    far = ospa_single([-80.0], 12.0, 30.0)
+    near = ospa_single([15.5], 12.0, 30.0)
     ok = miss == 30.0 and hit == 0.0 and far == 30.0 and near == 3.5
     criterion(9, ok, f"miss {miss}, exact hit {hit}, saturated {far}, "
                      f"in-range {near} (expected 30/0/30/3.5)")

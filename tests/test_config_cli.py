@@ -448,6 +448,25 @@ def test_truth_with_wrong_column_count_fails_with_one_line(workdir, tmp_path, ca
     assert str(ds / "truth.csv") in line and "expected 4 columns" in line and "found 2" in line
 
 
+def test_eval_on_non_finite_truth_fails_with_one_line(workdir, tmp_path, capsys):
+    """A NaN bearing in truth.csv stops eval instead of scoring it as nan."""
+    assert main(["track", "--config", str(workdir / "config.ini"), "--data",
+                 str(workdir / "ds"), "--variant", "cfar", "--out", str(tmp_path / "t.csv")]) == 0
+    ds = tmp_path / "ds"
+    shutil.copytree(workdir / "ds", ds)
+    lines = (ds / "truth.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[1] = "nan"
+    lines[3] = ",".join(cells)
+    (ds / "truth.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(workdir / "config.ini"), "--truth", str(ds),
+                 "--tracks", str(tmp_path / "t.csv"), "--out", str(tmp_path / "m.csv")]) == 1
+    line = _one_error_line(capsys)
+    assert str(ds / "truth.csv") in line and "data row 3" in line
+    assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("command", [["track", "--variant", "tvar"], ["btr"]],
                          ids=["track", "btr"])
 @pytest.mark.parametrize("part", ["coefficient", "covariance"])

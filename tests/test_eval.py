@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sonartkbd.config import ConfigError, default_config
-from sonartkbd.evaluate import (OspaParams, RunReport, aggregate_quantiles,
+from sonartkbd.evaluate import (RunReport, aggregate_quantiles,
                                 flip_count, make_run_report,
                                 median_detection_eta, ospa_single,
                                 sustained_confirmation)
@@ -16,7 +16,7 @@ from sonartkbd.pipeline import TrackLog
 from sonartkbd.sim import ScenarioTruth
 
 
-P = OspaParams(cutoff=30.0)
+CUTOFF = 30.0
 
 
 def truth_const(n, psi=0.0, eta=-5.0, rng_m=500.0):
@@ -33,13 +33,13 @@ def track_log(psi_est, exist_prob, confirmed):
 
 
 def test_ospa_edges():
-    assert ospa_single(None, 10.0, P) == 30.0
-    assert ospa_single([], 10.0, P) == 30.0
-    assert ospa_single([10.0], 10.0, P) == 0.0
-    assert ospa_single([13.5], 10.0, P) == pytest.approx(3.5)
-    assert ospa_single([-75.0], 10.0, P) == 30.0  # saturates at cutoff
+    assert ospa_single(None, 10.0, CUTOFF) == 30.0
+    assert ospa_single([], 10.0, CUTOFF) == 30.0
+    assert ospa_single([10.0], 10.0, CUTOFF) == 0.0
+    assert ospa_single([13.5], 10.0, CUTOFF) == pytest.approx(3.5)
+    assert ospa_single([-75.0], 10.0, CUTOFF) == 30.0  # saturates at cutoff
     with pytest.raises(ValueError):
-        ospa_single([1.0, 2.0], 10.0, P)
+        ospa_single([1.0, 2.0], 10.0, CUTOFF)
 
 
 def test_ospa_params_validation():
@@ -51,9 +51,9 @@ def test_ospa_params_validation():
 @settings(max_examples=100, deadline=None)
 @given(est=st.floats(-90, 90), truth=st.floats(-90, 90))
 def test_ospa_bounded_and_symmetric(est, truth):
-    d = ospa_single([est], truth, P)
-    assert 0.0 <= d <= P.cutoff
-    assert d == ospa_single([truth], est, P)
+    d = ospa_single([est], truth, CUTOFF)
+    assert 0.0 <= d <= CUTOFF
+    assert d == ospa_single([truth], est, CUTOFF)
 
 
 def test_sustained_confirmation_first_window():

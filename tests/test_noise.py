@@ -1,5 +1,7 @@
 """VAR fitting, whitening, simulation, and the binary model format."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +259,15 @@ def test_load_rejects_corruption(tmp_path):
     short.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ModelFileError):
         load_var(short)
+
+
+def test_load_rejects_covariance_that_is_not_positive_definite(tmp_path):
+    model = VarModel(np.zeros((0, 2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    path = tmp_path / "indefinite.varm"
+    save_var(model, path)
+    message = f"{path}: covariance is not positive definite"
+    with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+        load_var(path)
 
 
 def test_fit_rejects_short_data():

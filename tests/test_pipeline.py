@@ -11,7 +11,7 @@ from sonartkbd.config import default_config
 from sonartkbd.noise import fit_var, whiten
 from sonartkbd.pipeline import VARIANTS, beam_energies, bearing_beamformer, make_likelihood
 from sonartkbd.sim import Dataset
-from sonartkbd.stats import TModelParams, t_log_lr
+from sonartkbd.stats import t_log_lr
 
 from test_array import beamform
 
@@ -82,12 +82,12 @@ def test_make_likelihood_one_ratio_per_batch():
     grid = bearing_beamformer(ds, cfg)
     bearings = grid.bearings_deg
     energies, z_norm_sq, _ = beam_energies(ds, grid, model)
-    params = TModelParams(cfg.tmodel_dof, cfg.batch_samples, cfg.array_elements)
     eta_db = np.array([-8.0, -3.0])
     field = fields[2]
     np.testing.assert_array_equal(
         field.loglr(bearings[[10, 90]], eta_db),
-        t_log_lr(energies[2, [10, 90]], z_norm_sq[2], 10.0 ** (eta_db / 10.0), params))
+        t_log_lr(energies[2, [10, 90]], z_norm_sq[2], 10.0 ** (eta_db / 10.0),
+                 cfg.tmodel_dof, cfg.batch_samples, cfg.array_elements))
     np.testing.assert_array_equal(field.psi_grid, bearings)
     np.testing.assert_array_equal(field.eta_db_grid, np.arange(-12.0, -1.5, 1.0))
     cfar = make_likelihood("cfar", ds, cfg, None)

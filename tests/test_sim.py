@@ -1,5 +1,6 @@
 """Scenario simulator: geometry mapping, SNR law, batch scaling, file format."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from sonartkbd.array import ArrayGeometry
 from sonartkbd.config import ConfigError, default_config
 from sonartkbd.noise import NoiseStream, VarModel, fit_var
-from sonartkbd.sim import (Dataset, DatasetError, Scenario, ScenarioError,
+from sonartkbd.sim import (Dataset, DatasetError, ScenarioError,
                            bearing_range_from_xy, channel_noise_power,
                            generate_batch, generate_dataset, load_dataset,
                            save_dataset, snr_db_at_range, truth_from_path)
@@ -19,21 +20,13 @@ def white_model(m=4, scale=1.0):
     return VarModel(np.zeros((0, m, m)), scale * np.eye(m))
 
 
-def straight_scenario(geom=None, **kw):
-    geom = geom or ArrayGeometry.ula(4, 0.93, 1500.0, 375.0)
-    defaults = dict(
-        geometry=geom,
-        ambient=white_model(geom.n_channels),
-        waypoints=geom.centroid + np.array([[0.0, 1000.0], [0.0, 200.0]]),
-        speed=10.0,
-        duration=None,
-        n_per_batch=64,
-        ref_range=200.0,
-        spread_exponent=1.8,
-        sim_dof=12.0,
-    )
-    defaults.update(kw)
-    return Scenario(**defaults)
+def straight_scenario(ambient=None, **kw):
+    """A 1000 m -> 200 m broadside run at 10 m/s past a 4-element ULA; `kw`
+    replaces sim config fields."""
+    cfg = replace(default_config("sim"), array_elements=4, scenario_start_bearing_deg=0.0,
+                  scenario_start_range_m=1000.0, scenario_end_bearing_deg=0.0, **kw)
+    geom = default_geometry(cfg)
+    return scenario_from_config(cfg, geom, ambient or white_model(geom.n_channels))
 
 
 def test_snr_map_frozen_values():
@@ -64,22 +57,18 @@ def test_truth_linear_closing_run():
     truth = truth_from_path(sc)
     assert truth.batch_index.size == sc.n_batches()
     np.testing.assert_allclose(truth.psi_deg, 0.0, atol=1e-9)
-    np.testing.assert_allclose(truth.range_m, 1000.0 - sc.speed * truth.time_s,
-                               rtol=1e-12)
-    expected_eta = snr_db_at_range(truth.range_m, sc.ref_range,
-                                   sc.spread_exponent)
+    np.testing.assert_allclose(truth.range_m, 1000.0 - 10.0 * truth.time_s, rtol=1e-12)
+    expected_eta = snr_db_at_range(truth.range_m, 200.0, 1.8)
     np.testing.assert_allclose(truth.eta_db, expected_eta, rtol=1e-12)
 
 
 def test_duration_beyond_path_rejected():
-    sc = straight_scenario(duration=1000.0)
+    sc = straight_scenario(scenario_duration_s=1000.0)
     with pytest.raises(ScenarioError):
         sc.n_batches()
 
 
 def test_scenario_validation():
-    with pytest.raises(ScenarioError):
-        straight_scenario(waypoints=np.array([[0.0, 100.0]]))
     with pytest.raises(ScenarioError, match="ambient model has 3 channels, the array has 4"):
         straight_scenario(ambient=white_model(3))
     # speed, tail dof and batch length are checked once, where they are set: in the config
@@ -106,11 +95,11 @@ def test_channel_noise_power_is_geometric_mean_det():
 def test_batch_scale_inflates_covariance_by_dof_ratio():
     """Per-batch chi-square scaling lifts the observed power by nu/(nu-2)."""
     nu = 12.0
-    sc = straight_scenario(sim_dof=nu)
+    sc = straight_scenario(scenario_sim_dof=nu)
     rng = np.random.default_rng(2024)
     noise = NoiseStream(sc.ambient, rng)
     power = channel_noise_power(sc.ambient)
-    k, n, m = 2000, sc.n_per_batch, sc.geometry.n_channels
+    k, n, m = 2000, sc.cfg.batch_samples, sc.geometry.n_channels
     rows = np.empty((k * n, m))
     for i in range(k):
         rows[i * n:(i + 1) * n] = generate_batch(sc, 0.0, None, noise, rng,
@@ -135,13 +124,13 @@ def test_generated_target_raises_channel_power():
         off[i] = np.mean(quiet ** 2)
     # eta = 10 dB puts ten units of source power on top of one of noise,
     # and the common scale draw has mean nu/(nu-2)
-    inflation = sc.sim_dof / (sc.sim_dof - 2.0)
+    inflation = sc.cfg.scenario_sim_dof / (sc.cfg.scenario_sim_dof - 2.0)
     assert on.mean() == pytest.approx(11.0 * inflation, rel=0.15)
     assert off.mean() == pytest.approx(1.0 * inflation, rel=0.15)
 
 
 def test_dataset_round_trip(tmp_path):
-    sc = straight_scenario(duration=20.0)
+    sc = straight_scenario(scenario_duration_s=20.0)
     rng = np.random.default_rng(42)
     ds = generate_dataset(sc, rng, seed=42)
     save_dataset(ds, tmp_path / "run")
@@ -157,15 +146,32 @@ def test_dataset_round_trip(tmp_path):
     np.testing.assert_array_equal(back.geometry.positions, ds.geometry.positions)
 
 
+def test_dataset_meta_records_the_run_from_the_config():
+    sc = straight_scenario(scenario_speed_mps=7.5, scenario_duration_s=10.0,
+                           scenario_ref_range_m=150.0, scenario_spread_exponent=2.0,
+                           scenario_sim_dof=9.0)
+    ds = generate_dataset(sc, np.random.default_rng(3))
+    centre = sc.geometry.centroid
+    assert ds.meta == {
+        "target_free": False,
+        "speed": 7.5,
+        "ref_range": 150.0,
+        "spread_exponent": 2.0,
+        "sim_dof": 9.0,
+        "waypoints": [(centre + [0.0, 1000.0]).tolist(), (centre + [0.0, 200.0]).tolist()],
+    }
+    assert ds.meta["waypoints"] == [sc.start.tolist(), sc.end.tolist()]
+
+
 def test_target_free_dataset_keeps_truth_for_reference():
-    sc = straight_scenario(duration=10.0)
+    sc = straight_scenario(scenario_duration_s=10.0)
     ds = generate_dataset(sc, np.random.default_rng(4), target_free=True)
     assert ds.meta["target_free"] is True
     assert ds.truth is not None
 
 
 def test_load_rejects_truncated_samples(tmp_path):
-    sc = straight_scenario(duration=10.0)
+    sc = straight_scenario(scenario_duration_s=10.0)
     ds = generate_dataset(sc, np.random.default_rng(5))
     save_dataset(ds, tmp_path / "run")
     raw = (tmp_path / "run" / "samples.f32").read_bytes()
@@ -185,3 +191,29 @@ def test_load_rejects_bad_meta(tmp_path):
     (run / "meta.json").write_text('{"format_version": 99}')
     with pytest.raises(DatasetError):
         load_dataset(run)
+
+
+@pytest.mark.parametrize("column, value, row", [
+    ("psi_deg", "nan", 4),
+    ("eta_db", "inf", 0),
+    ("range_m", "-inf", 7),
+    ("batch_index", "nan", 2),
+    ("batch_index", "4.5", 4),
+    ("batch_index", "9", 8),
+    ("range_m", "0", 5),
+    ("range_m", "-3.0", 1),
+])
+def test_load_rejects_bad_truth_values(tmp_path, column, value, row):
+    """A non-finite value, a batch_index other than the row's index or a
+    range_m <= 0 names the file and the data row."""
+    ds = generate_dataset(straight_scenario(scenario_duration_s=2.0), np.random.default_rng(5))
+    save_dataset(ds, tmp_path / "run")
+    path = tmp_path / "run" / "truth.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: data row {row + 1} needs finite values, batch_index {row} and range_m > 0"
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_dataset(tmp_path / "run")
