@@ -277,7 +277,12 @@ def load_dataset(path) -> Dataset:
     truth = None
     truth_path = root / "truth.csv"
     if truth_path.exists():
-        rows = np.loadtxt(truth_path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            rows = np.loadtxt(truth_path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as err:
+            reason = str(err).split(";")[0]  # drop numpy's advice to pass usecols
+            raise DatasetError(f"{truth_path}: every data row needs 4 numbers ({reason})"
+                               ) from err
         if rows.shape[1] != 4:
             raise DatasetError(f"{truth_path}: expected 4 columns (batch_index, psi_deg, "
                                f"eta_db, range_m), found {rows.shape[1]}")

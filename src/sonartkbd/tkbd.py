@@ -140,7 +140,10 @@ def sample_birth(field: LikelihoodField | None, cfg: PipelineConfig, n: int,
             probs = np.full(flat.size, 1.0 / flat.size)
         else:
             probs = probs / total
-        cells = rng.choice(flat.size, size=n, p=probs)
+        # what Generator.choice(p=probs) does, without its checks on p
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        cells = cdf.searchsorted(rng.random(n), side="right")
         pi, ei = np.unravel_index(cells, loglr.shape)
         dpsi = _cell_step(field.psi_grid)
         deta = _cell_step(field.eta_db_grid)

@@ -467,6 +467,24 @@ def test_eval_on_non_finite_truth_fails_with_one_line(workdir, tmp_path, capsys)
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("edit", [lambda cells: cells[:1] + ["abc"] + cells[2:],
+                                  lambda cells: cells[:3]], ids=["not-a-number", "short-row"])
+def test_eval_on_unreadable_truth_fails_with_one_line(workdir, tmp_path, capsys, edit):
+    """A value that is not a number, or a missing column, names truth.csv."""
+    assert main(["track", "--config", str(workdir / "config.ini"), "--data",
+                 str(workdir / "ds"), "--variant", "cfar", "--out", str(tmp_path / "t.csv")]) == 0
+    ds = tmp_path / "ds"
+    shutil.copytree(workdir / "ds", ds)
+    lines = (ds / "truth.csv").read_text().splitlines()
+    lines[3] = ",".join(edit(lines[3].split(",")))
+    (ds / "truth.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(workdir / "config.ini"), "--truth", str(ds),
+                 "--tracks", str(tmp_path / "t.csv"), "--out", str(tmp_path / "m.csv")]) == 1
+    assert str(ds / "truth.csv") in _one_error_line(capsys)
+    assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("command", [["track", "--variant", "tvar"], ["btr"]],
                          ids=["track", "btr"])
 @pytest.mark.parametrize("part", ["coefficient", "covariance"])

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sonartkbd import noise
 from sonartkbd.config import default_config
 from sonartkbd.noise import (FitError, InstabilityError, ModelFileError,
                              NoiseStream, VarModel, WhitenState, fit_var,
                              load_var, save_var, select_order, whiten)
-from sonartkbd.study import default_geometry, synth_sea_recording
+from sonartkbd.study import default_ambient_model, default_geometry, synth_sea_recording
 
 
 def known_var2():
@@ -218,6 +219,91 @@ def test_stream_matches_batch_simulation():
     parts = np.vstack([b.take(30) for _ in range(4)])
     np.testing.assert_array_equal(whole, parts)
     assert whole.shape == (120, 4)
+
+
+def per_sample_stream(model, rng, n):
+    """n samples of the VAR recursion stepped one sample at a time after the
+    burn-in, with the innovations drawn as NoiseStream draws them."""
+    p, m = model.order, model.n_channels
+    chol = model.noise_chol()
+    coef = model.coeffs.transpose(1, 0, 2).reshape(m, p * m)
+    hist = np.zeros(p * m)  # [y_{n-1}, ..., y_{n-p}]
+
+    def run(count):
+        innov = rng.standard_normal((count, m)) @ chol.T
+        out = np.empty((count, m))
+        for j in range(count):
+            out[j] = innov[j] + coef @ hist
+            hist[m:] = hist[:-m]
+            hist[:m] = out[j]
+        return out
+
+    run(max(10 * p, 1000))
+    return run(n)
+
+
+def var1():
+    return VarModel(np.array([[[0.6, 0.2], [-0.1, 0.5]]]), np.array([[1.0, 0.3], [0.3, 0.8]]))
+
+
+def var40():
+    """A stable 2-channel order-40 model: more lags than one lifted block holds."""
+    model = VarModel(0.015 * np.random.default_rng(3).standard_normal((40, 2, 2)), np.eye(2))
+    assert model.spectral_radius() < 0.95
+    return model
+
+
+def fitted_ambient():
+    """The default order-14, 8-channel generator model."""
+    model, _ = default_ambient_model(default_geometry(default_config()))
+    assert model.order == 14
+    return model
+
+
+@pytest.mark.parametrize("make", [var1, known_var2, fitted_ambient, var40],
+                         ids=["p1", "p2", "p14", "p40"])
+def test_stream_matches_per_sample_recursion(make):
+    model = make()
+    want = per_sample_stream(model, np.random.default_rng(21), 3000)
+    got = NoiseStream(model, np.random.default_rng(21)).take(3000)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("make", [var1, known_var2, var40], ids=["p1", "p2", "p40"])
+def test_stream_is_bit_identical_across_chunkings(make):
+    """Takes that start and end inside blocks give the bits of one long take."""
+    sizes = (1, 31, 33, 64, 1000, 1, 31, 33, 64)
+    whole = NoiseStream(make(), np.random.default_rng(22)).take(sum(sizes))
+    stream = NoiseStream(make(), np.random.default_rng(22))
+    np.testing.assert_array_equal(np.vstack([stream.take(n) for n in sizes]), whole)
+
+
+@pytest.mark.parametrize("make", [var1, known_var2, var40], ids=["p1", "p2", "p40"])
+def test_lifted_matrix_is_impulse_and_zero_input_response(make):
+    """Block (l, k) of T is Psi_{l-k} and row block l of H is y_l from the
+    history alone, both read off powers of the companion matrix."""
+    model = make()
+    m, block = model.n_channels, noise._BLOCK
+    comp = model.companion()
+    powers = [np.eye(comp.shape[0])]
+    for _ in range(block):
+        powers.append(comp @ powers[-1])
+    want = np.zeros((block * m, (block + model.order) * m))
+    for row in range(block):
+        for col in range(row + 1):
+            want[row * m:(row + 1) * m, col * m:(col + 1) * m] = powers[row - col][:m, :m]
+        want[row * m:(row + 1) * m, block * m:] = powers[row + 1][:m]
+    np.testing.assert_allclose(noise._lifted_var(model), want, rtol=0, atol=1e-12)
+
+
+def test_order_zero_stream_returns_the_innovations():
+    model = VarModel(np.zeros((0, 3, 3)), np.array([[1.0, 0.2, 0.0], [0.2, 1.0, 0.1],
+                                                    [0.0, 0.1, 1.0]]))
+    rng = np.random.default_rng(23)
+    got = NoiseStream(model, rng).take(50)
+    rng = np.random.default_rng(23)
+    rng.standard_normal((1000, 3))  # burn-in
+    np.testing.assert_array_equal(got, rng.standard_normal((50, 3)) @ model.noise_chol().T)
 
 
 def test_stream_is_stationary_from_first_sample():

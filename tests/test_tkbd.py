@@ -244,6 +244,39 @@ def test_birth_concentrates_on_likelihood_peak():
     assert near.mean() > 0.9
 
 
+def choice_cells(grid, n, rng):
+    """Birth cells drawn by Generator.choice from the normalised exp(ln L) field."""
+    flat = grid.ravel()
+    with np.errstate(invalid="ignore"):
+        probs = np.exp(flat - flat.max())
+    total = probs.sum()
+    if not np.isfinite(total) or total <= 0:
+        probs = np.full(flat.size, 1.0 / flat.size)
+    else:
+        probs = probs / total
+    return rng.choice(flat.size, size=n, p=probs)
+
+
+@pytest.mark.parametrize("loglr", [
+    lambda psi, eta: np.where(np.abs(psi - 30.0) < 2.0, 8.0, 0.0) + 0.1 * eta,
+    lambda psi, eta: np.zeros(np.broadcast(psi, eta).shape),
+    lambda psi, eta: np.full(np.broadcast(psi, eta).shape, -np.inf),
+], ids=["peaked", "flat", "all-minus-inf"])
+def test_birth_cells_match_generator_choice(loglr):
+    """Births land in the cells Generator.choice(p=...) draws from the same state."""
+    params = small_params(filter_snr_lo_db=-12.0, filter_snr_hi_db=-2.0)
+    psi_grid = np.arange(-90.0, 91.0, 1.0)
+    eta_grid = np.arange(-12.0, -1.0, 1.0)
+    field = LikelihoodField(psi_grid, eta_grid, loglr)
+    with np.errstate(invalid="ignore"):
+        births = sample_birth(field, params, 500, np.random.default_rng(12))
+    want = choice_cells(field.grid, 500, np.random.default_rng(12))
+    # jitter stays inside half a cell, so the nearest centre is the drawn cell
+    pi = np.abs(births[:, PSI, None] - psi_grid).argmin(axis=1)
+    ei = np.abs(births[:, ETA_DB, None] - eta_grid).argmin(axis=1)
+    np.testing.assert_array_equal(np.ravel_multi_index((pi, ei), field.grid.shape), want)
+
+
 def test_likelihood_field_rejects_a_grid_of_the_wrong_shape():
     field = LikelihoodField(np.arange(5.0), np.arange(3.0), lambda psi, eta: np.zeros((3, 5)))
     with pytest.raises(ValueError):
