@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .config import PipelineConfig
 from .tkbd import BEARING_LIMIT_DEG
@@ -28,7 +28,7 @@ from .tkbd import BEARING_LIMIT_DEG
 
 @lru_cache(maxsize=None)
 def _z_quantile(alpha: float) -> float:
-    return float(norm.isf(alpha))
+    return float(-ndtri(alpha))
 
 
 def _window_kernel(cfg: PipelineConfig) -> np.ndarray:

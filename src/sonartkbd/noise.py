@@ -16,7 +16,7 @@ from scipy.linalg import cholesky, solve, solve_discrete_lyapunov, solve_triangu
 
 _MAGIC = b"SONARVAR"
 _VERSION = 1
-# values per row chunk of the lag matrix in `select_order` (8 MB of float64)
+# values per row chunk of the lag matrix in `_lag_gram` (8 MB of float64)
 _GRAM_CHUNK_VALUES = 1 << 20
 # samples per matrix-vector product in `NoiseStream`; on the 8-channel
 # order-14 generator 16 runs as fast as 32 and keeps the matrix a third the size
@@ -100,7 +100,8 @@ def fit_var(data: np.ndarray, order: int) -> VarModel:
     Regresses each sample on its `order` predecessors over n = order..T-1 and
     estimates the innovation covariance from the residuals with divisor
     T - order - 1. The normal equations get a ridge of 1e-10 times their
-    trace only if they come back singular.
+    trace only if they come back singular. Both are read from blocks of the
+    lag Gram matrix (Lutkepohl 2005, sec. 3.2), with no design matrix formed.
     """
     y = np.asarray(data, dtype=float)
     if y.ndim != 2:
@@ -115,11 +116,9 @@ def fit_var(data: np.ndarray, order: int) -> VarModel:
     if p == 0:
         sigma = y.T @ y / (t_total - 1)
         return VarModel(np.zeros((0, m, m)), sigma)
-    target = y[p:]
-    lagged = np.hstack([y[p - i:t_total - i] for i in range(1, p + 1)])
-    beta = _solve_normal(lagged.T @ lagged, lagged.T @ target)
-    resid = target - lagged @ beta
-    sigma = resid.T @ resid / (t_total - p - 1)
+    gram = _lag_gram(y, p, t_total - p)
+    beta = _solve_normal(gram[m:, m:], gram[m:, :m])
+    sigma = (gram[:m, :m] - gram[m:, :m].T @ beta) / (t_total - p - 1)
     coeffs = np.stack([beta[i * m:(i + 1) * m].T for i in range(p)])
     return VarModel(coeffs, sigma)
 
@@ -152,13 +151,8 @@ def select_order(data: np.ndarray, max_order: int) -> tuple[int, np.ndarray]:
     if t_total <= p_max * m + p_max + 1:
         raise FitError(f"need more than p*M + p + 1 = {p_max * m + p_max + 1} samples "
                        f"for max_order {p_max}, got {t_total}")
-    width = (p_max + 1) * m
     padded = np.vstack([np.zeros((p_max, m)), y])
-    rows = max(1, _GRAM_CHUNK_VALUES // width)
-    full = np.zeros((width, width))
-    for start in range(0, t_total, rows):
-        z = _lag_rows(padded, p_max, start, min(start + rows, t_total))
-        full += z.T @ z
+    full = _lag_gram(padded, p_max, t_total)
     head = _lag_rows(padded, p_max, 0, p_max)
     scores = np.empty(p_max + 1)
     for p in range(p_max + 1):
@@ -185,8 +179,20 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return solve(gram + ridge * np.eye(gram.shape[0]), rhs, assume_a="pos")
 
 
+def _lag_gram(padded: np.ndarray, p_max: int, n_rows: int) -> np.ndarray:
+    """Gram matrix of `_lag_rows` 0..n_rows-1, summed in chunks of `_GRAM_CHUNK_VALUES`."""
+    width = (p_max + 1) * padded.shape[1]
+    rows = max(1, _GRAM_CHUNK_VALUES // width)
+    gram = np.zeros((width, width))
+    for start in range(0, n_rows, rows):
+        z = _lag_rows(padded, p_max, start, min(start + rows, n_rows))
+        gram += z.T @ z
+    return gram
+
+
 def _lag_rows(padded: np.ndarray, p_max: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of [y_n, y_{n-1}, ..., y_{n-P}], from data led by P zero rows."""
+    """Rows start..stop-1 of [y_n, y_{n-1}, ..., y_{n-P}], with y_n = padded[P + n]:
+    `select_order` leads the data with P zero rows, `fit_var` with its first P samples."""
     m = padded.shape[1]
     z = np.empty((stop - start, (p_max + 1) * m))
     for i in range(p_max + 1):

@@ -277,15 +277,17 @@ def load_dataset(path) -> Dataset:
     truth = None
     truth_path = root / "truth.csv"
     if truth_path.exists():
-        try:
-            rows = np.loadtxt(truth_path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as err:
-            reason = str(err).split(";")[0]  # drop numpy's advice to pass usecols
-            raise DatasetError(f"{truth_path}: every data row needs 4 numbers ({reason})"
-                               ) from err
-        if rows.shape[1] != 4:
+        cells = [s.split(",") for s in truth_path.read_text().splitlines()[1:] if s.strip()]
+        if cells and len(cells[0]) != 4 and all(len(c) == len(cells[0]) for c in cells):
             raise DatasetError(f"{truth_path}: expected 4 columns (batch_index, psi_deg, "
-                               f"eta_db, range_m), found {rows.shape[1]}")
+                               f"eta_db, range_m), found {len(cells[0])}")
+        rows = np.empty((len(cells), 4))
+        for i, row in enumerate(cells):
+            try:  # [] makes a short or long row fail; a single value would broadcast
+                rows[i] = [float(v) for v in row] if len(row) == 4 else []
+            except ValueError:
+                raise DatasetError(f"{truth_path}: every data row needs 4 numbers (data row "
+                                   f"{i + 1} reads {','.join(row)!r:.60})") from None
         if rows.shape[0] != meta["n_batches"]:
             raise DatasetError(f"{truth_path}: row count does not match n_batches")
         bad = (~np.isfinite(rows).all(axis=1) | (rows[:, 0] != np.arange(rows.shape[0]))

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg import solve_banded
 
 from .array import ArrayGeometry, apply_steering, make_steering
 from .config import PipelineConfig
@@ -63,15 +63,21 @@ def synth_sea_recording(geom: ArrayGeometry, duration_s: float,
     # floor: conjugate pole pair, radius 0.7 at +-55 degrees
     r, theta = 0.7, np.deg2rad(55.0)
     floor_den = [1.0, -2.0 * r * np.cos(theta), r * r]
-    floor = lfilter([1.0], floor_den, rng.standard_normal((n, m)), axis=0)
+    floor = _all_pole(floor_den, rng.standard_normal((n, m)))
     floor /= floor.std(axis=0, keepdims=True)
     out = floor
     for bearing, level, pole in ((-35.0, 0.55, 0.85), (22.0, 0.4, 0.6)):
-        src = lfilter([1.0], [1.0, -pole], rng.standard_normal(n))
+        src = _all_pole([1.0, -pole], rng.standard_normal(n))
         src *= level / src.std()
         op = make_steering(geom, bearing, n)
         out = out + apply_steering(op, src)
     return out
+
+
+def _all_pole(den: list[float], x: np.ndarray) -> np.ndarray:
+    """`x` filtered along axis 0 by 1/A(z) from rest, A(z) = sum_k den[k] z^-k with
+    den[0] = 1: the solution of A's lower-triangular banded Toeplitz system."""
+    return solve_banded((len(den) - 1, 0), np.repeat(np.c_[den], len(x), 1), x)
 
 
 def default_ambient_model(geom: ArrayGeometry) -> tuple[VarModel, VarModel]:

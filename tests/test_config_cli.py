@@ -541,6 +541,17 @@ def test_console_script_entry_point(tmp_path):
                    cwd=tmp_path, env=env)
 
 
+def test_cli_import_leaves_out_scipy_signal_and_stats(tmp_path):
+    """Only scipy.linalg and scipy.special are needed; the others cost start-up and memory."""
+    pkg_root = str(Path(sonartkbd.__file__).resolve().parents[1])
+    script = ("import sys, sonartkbd.cli; "
+              "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60, cwd=tmp_path, env={**os.environ, "PYTHONPATH": pkg_root})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 @pytest.mark.skipif(shutil.which("sonartkbd") is None,
                     reason="no sonartkbd console script on PATH "
                            "(package not installed)")

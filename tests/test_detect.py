@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from sonartkbd.config import ConfigError, default_config
 from sonartkbd.detect import (_window_kernel, _z_quantile, cfar_detect, cfar_detections,
@@ -34,6 +35,8 @@ def test_param_validation():
 def test_z_quantile_frozen():
     assert _z_quantile(1e-3) == pytest.approx(3.090232306167813, abs=1e-12)
     assert _z_quantile(0.25) == pytest.approx(0.6744897501960817, abs=1e-12)
+    for alpha in np.geomspace(1e-12, 0.4, 2004):
+        assert _z_quantile(float(alpha)) == float(norm.isf(alpha)), alpha
 
 
 def test_window_kernel_layout():

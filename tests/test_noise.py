@@ -191,6 +191,40 @@ def test_select_order_matches_per_order_fits(make, max_order):
     np.testing.assert_allclose(scores, want, rtol=1e-9, atol=0.0)
 
 
+def dense_fit_var(data, order):
+    """Reference VAR(p) fit: the full (T-p, pM) design matrix and its residuals."""
+    t_total, m = data.shape
+    target = data[order:]
+    lagged = np.hstack([data[order - i:t_total - i] for i in range(1, order + 1)])
+    beta = np.linalg.solve(lagged.T @ lagged, lagged.T @ target)
+    resid = target - lagged @ beta
+    coeffs = np.stack([beta[i * m:(i + 1) * m].T for i in range(order)])
+    return coeffs, resid.T @ resid / (t_total - order - 1)
+
+
+@pytest.mark.parametrize("make, order", [
+    (lambda: NoiseStream(known_var2(), np.random.default_rng(2)).take(20_000), 2),
+    (_sea_recording, 14),
+], ids=["var2", "sea-8ch"])
+def test_fit_matches_dense_residual_fit(make, order):
+    """The Gram-matrix fit equals the design-matrix fit to 1e-10 relative."""
+    data = make()
+    coeffs, sigma = dense_fit_var(data, order)
+    fit = fit_var(data, order)
+    np.testing.assert_allclose(fit.coeffs, coeffs, rtol=0, atol=1e-10 * np.abs(coeffs).max())
+    np.testing.assert_allclose(fit.noise_cov, sigma, rtol=1e-10, atol=0)
+
+
+def test_fit_does_not_depend_on_gram_chunk_size(monkeypatch):
+    """Hundreds of row chunks give the one-chunk fit to rounding."""
+    data = NoiseStream(known_var2(), np.random.default_rng(3)).take(5000)
+    whole = fit_var(data, 3)
+    monkeypatch.setattr(noise, "_GRAM_CHUNK_VALUES", 200)
+    chunked = fit_var(data, 3)
+    np.testing.assert_allclose(chunked.coeffs, whole.coeffs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(chunked.noise_cov, whole.noise_cov, rtol=1e-12, atol=0)
+
+
 def test_select_order_zero_channel_scores_inf_and_picks_zero():
     """An all-zero channel makes every Sigma_w singular, the ridge path included."""
     order, scores = select_order(_zero_channel_recording(), 4)

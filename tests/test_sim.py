@@ -224,13 +224,13 @@ def test_load_rejects_bad_truth_values(tmp_path, column, value, row):
                                   lambda cells: cells + ["1.0"]],
                          ids=["not-a-number", "short-row", "long-row"])
 def test_load_rejects_unreadable_truth_rows(tmp_path, edit):
-    """A row loadtxt cannot read names the file, not only numpy's message."""
+    """A row that is not 4 numbers names the file and its 1-based data row."""
     ds = generate_dataset(straight_scenario(scenario_duration_s=2.0), np.random.default_rng(5))
     save_dataset(ds, tmp_path / "run")
     path = tmp_path / "run" / "truth.csv"
     lines = path.read_text().splitlines()
-    lines[4] = ",".join(edit(lines[4].split(",")))
+    lines[3] = ",".join(edit(lines[3].split(",")))
     path.write_text("\n".join(lines) + "\n")
-    message = f"{path}: every data row needs 4 numbers ("
-    with pytest.raises(DatasetError, match=f"^{re.escape(message)}"):
+    message = f"{path}: every data row needs 4 numbers (data row 3 reads '{lines[3]}')"
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
         load_dataset(tmp_path / "run")

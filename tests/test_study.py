@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from sonartkbd import study
 from sonartkbd.config import default_config
@@ -86,6 +87,18 @@ def test_worker_count_does_not_change_calibration():
                                             workers=workers) for workers in (1, 2))
         assert pooled.trace == serial.trace and pooled.config == serial.config
     assert len(serial.trace) > 2 and len({n for _, n in serial.trace}) > 2
+
+
+@pytest.mark.parametrize("den, shape", [([1.0, -2.0 * 0.7 * np.cos(np.deg2rad(55.0)), 0.49],
+                                          (6000, 8)),
+                                         ([1.0, -0.85], (6000,))], ids=["floor", "source"])
+def test_all_pole_filter_matches_lfilter(den, shape):
+    """The banded solve is the recursion of `lfilter` to rounding."""
+    x = np.random.default_rng(4).standard_normal(shape)
+    want = lfilter([1.0], den, x, axis=0)
+    got = study._all_pole(den, x)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def test_calibration_refuses_no_datasets():
