@@ -162,13 +162,18 @@ class BeamformGrid:
         """Beamformed energy at every grid bearing, (K, G), for a (K, N, M) stack.
 
         Parseval over the rfft bins: bin n of a real batch mirrors bin N - n,
-        so every bin but DC and Nyquist counts twice.
+        so every bin but DC and Nyquist counts twice. A batch's energies do
+        not depend on the stack it comes in: BLAS multiplies a one-row
+        product by another kernel, whose last bits differ, so a single batch
+        goes through as two copies of itself.
         """
         data = np.asarray(batches, dtype=float)
         n, m = self.n_samples, self.geom.n_channels
         if data.ndim != 3 or data.shape[1:] != (n, m):
             raise BatchShapeError(
                 f"batch stack shape {data.shape} does not match grid (K, {n}, {m})")
+        if data.shape[0] == 1:
+            return self.energies(np.concatenate([data, data]))[:1]
         spec = np.fft.rfft(data, axis=1)  # (K, N/2+1, M)
         out = np.zeros((data.shape[0], self.bearings_deg.size))
         for i, steer in enumerate(self._steer):

@@ -117,7 +117,7 @@ _DOMAINS = (
       "scenario_end_bearing_deg")),
     ("a finite number > 0", lambda v: _finite(v) and v > 0,
      ("array_spacing_m", "array_speed_of_sound", "array_sample_rate",
-      "grid_bearing_step_deg", "filter_eta_step_db", "clutter_rate",
+      "filter_eta_step_db", "clutter_rate",
       "clutter_bearing_var", "ospa_cutoff_deg", "scenario_start_range_m",
       "scenario_end_range_m", "scenario_speed_mps", "scenario_ref_range_m")),
     ("a finite number >= 0", lambda v: _finite(v) and v >= 0,
@@ -125,6 +125,8 @@ _DOMAINS = (
       "scenario_spread_exponent")),
     ("a finite number > 2", lambda v: _finite(v) and v > 2,  # t dof with finite variance
      ("tmodel_dof", "scenario_sim_dof")),
+    # a wider step leaves one bearing on the -90..90 grid
+    ("in (0, 180]", lambda v: _finite(v) and 0 < v <= 180, ("grid_bearing_step_deg",)),
     ("in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1,
      ("filter_prob_survival", "filter_prob_birth")),
     ("in (0, 1)", lambda v: _finite(v) and 0 < v < 1,

@@ -127,13 +127,17 @@ def detection_log_lr(detections: np.ndarray, bearing_deg, cfg: PipelineConfig):
     p_d, lambda and R (deg^2) the config's `clutter_*` fields and kappa the
     uniform clutter density over [-90, 90] deg. Without
     detections this is ln(1 - p_d); detections far from psi leave it there.
-    Broadcasts over `bearing_deg` of any shape.
+    The detections run along the first axis of `detections`. A 1-D set
+    broadcasts over `bearing_deg` of any shape; the further axes of a
+    stacked set (one column per batch, padded with +inf, which adds exactly
+    zero) broadcast against `bearing_deg` as they stand.
     """
     psi = np.asarray(bearing_deg, dtype=float)
-    dets = np.asarray(detections, dtype=float).ravel()
+    dets = np.asarray(detections, dtype=float)
+    dets = dets.reshape(dets.shape[:1] + (1,) * (psi.ndim + 1 - dets.ndim) + dets.shape[1:])
     kappa = 1.0 / (2.0 * BEARING_LIMIT_DEG)
     r = cfg.clutter_bearing_var
-    diff = dets.reshape((-1,) + (1,) * psi.ndim) - psi
+    diff = dets - psi
     acc = (np.exp(-0.5 * diff ** 2 / r) / np.sqrt(2.0 * np.pi * r)).sum(axis=0)
     p_d = cfg.clutter_prob_detect
     return np.log(1.0 - p_d + p_d / cfg.clutter_rate * acc / kappa)

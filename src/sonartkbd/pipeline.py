@@ -8,19 +8,22 @@ batch becomes a likelihood ratio:
     gvar   Gaussian ratio on a VAR(p)-whitened batch
     cfar   detection-based ratio from a CFAR front end on the raw record
 
-`beam_energies` whitens a dataset's whole stream once and beamforms all its
-batches in one rfft pass over the `bearing_beamformer` grid; `sonartkbd
-btr` and `sonartkbd detect` read the same energies. `make_likelihood` turns
-them into one log likelihood ratio ln L(psi, eta) per batch, a
-`LikelihoodField` built from the batch's energy row or detections: the
-filter update reads it at the particles and the birth proposal on the
-(bearing, SNR) grid. `run_tracker` drives the filter over those. The array,
-batch length N and period N / fs come from the dataset.
+`beam_energies` whitens a dataset's stream and beamforms its batches over
+the `bearing_beamformer` grid; `sonartkbd btr` and `sonartkbd detect` read
+the same energies. `make_likelihood` turns them into one log likelihood
+ratio ln L(psi, eta) per batch, a `LikelihoodField` built from the batch's
+energy row or detections: the filter update reads it at the particles and
+the birth proposal draws from its CDF over the (bearing, SNR) grid.
+`run_tracker` drives the filter over those. A pass runs in blocks of
+`_BLOCK` batches, from raw samples to birth CDFs, and every output equals
+one pass over the whole recording bit for bit. The array, batch length N
+and period N / fs come from the dataset.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +31,18 @@ import numpy as np
 from .array import BeamformGrid
 from .config import PipelineConfig
 from .detect import cfar_detections, detection_log_lr
-from .noise import VarModel, whiten
+from .noise import VarModel, WhitenState, whiten
 from .sim import Dataset
 from .stats import gauss_log_lr, t_log_lr
 from .tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, PSIDOT, BernoulliBelief,
-                   LikelihoodField, extract, predict, update)
+                   LikelihoodField, birth_cdfs, extract, predict, update)
 
 VARIANTS = ("tvar", "tvar0", "gvar", "cfar")
+
+# Batches per block of a tracker pass. The front end and the likelihood
+# tables hold one block at a time, so a pass's memory does not grow with
+# the recording.
+_BLOCK = 64
 
 
 def spawn_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -71,28 +79,93 @@ def beam_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None =
                   ) -> tuple[np.ndarray, np.ndarray, int]:
     """Beamformed energies of every batch, whitened by `model` first if given.
 
-    The whole stream is whitened in one `whiten` call, which equals whitening
-    it batch by batch, and beamformed as one (K, N, M) stack. Returns the
-    (K, G) energies over `grid`, the (K,) batch energies ||z||^2 and how
-    many leading batches hold whitener warm-up rows; their energies are
-    returned but should not be scored. A model whose channel count differs
-    from the dataset's is a ValueError.
+    The stream is whitened and beamformed `_BLOCK` batches at a time, which
+    equals one pass over the whole stack bit for bit. Returns the (K, G)
+    energies over `grid`, the (K,) batch energies ||z||^2 and how many
+    leading batches hold whitener warm-up rows; their energies are returned
+    but should not be scored. A model whose channel count differs from the
+    dataset's is a ValueError.
     """
-    n, k, m = dataset.n_per_batch, dataset.n_batches, dataset.geometry.n_channels
-    data = dataset.samples[:k * n]
+    k = dataset.n_batches
+    energies, z_norm_sq, warmup = np.empty((k, grid.bearings_deg.size)), np.empty(k), 0
+    for lo in range(0, k, _BLOCK):
+        hi = min(lo + _BLOCK, k)
+        energies[lo:hi], z_norm_sq[lo:hi], block_warmup = _block_energies(
+            dataset, grid, model, lo, hi)
+        warmup += block_warmup
+    return energies, z_norm_sq, warmup
+
+
+def _block_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None,
+                    lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """`beam_energies` of batches lo..hi-1; the warm-up count is of this block.
+
+    The whitener starts from the p raw samples before the block, zero-padded
+    at the start of the stream: the state that whitening every earlier batch
+    would have left.
+    """
+    n, m = dataset.n_per_batch, dataset.geometry.n_channels
+    data = dataset.samples[lo * n:hi * n]
     warmup = 0
     if model is not None:
         if model.n_channels != m:
             raise ValueError(f"noise model has {model.n_channels} channels, "
                              f"the dataset has {m}")
-        data, _, warmup_rows = whiten(model, data)
+        start, p = lo * n, model.order
+        history = np.zeros((p, m))
+        seen = dataset.samples[max(start - p, 0):start]
+        history[p - len(seen):] = seen
+        data, _, warmup_rows = whiten(model, data, WhitenState(history, start))
         warmup = -(-warmup_rows // n)
-    batches = data.reshape(k, n, m)
+    batches = data.reshape(hi - lo, n, m)
     return grid.energies(batches), (batches * batches).sum(axis=(1, 2)), warmup
 
 
+def uniform_interp(x, xp: np.ndarray, fp: np.ndarray, slopes: np.ndarray):
+    """`np.interp(x, xp, fp)` bit for bit, for uniformly spaced xp and finite fp.
+
+    `slopes` is np.diff(fp) / np.diff(xp), the table np.interp builds. The
+    cell index comes from one division and is corrected by one cell where
+    rounding put it off, so no search is needed. As in np.interp, x below
+    xp[0] gives fp[0] and x from xp[-1] up gives fp[-1].
+    """
+    x = np.clip(x, xp[0], xp[-1])
+    last = xp.size - 1
+    j = np.minimum(((x - xp[0]) / (xp[1] - xp[0])).astype(np.intp), last - 1)
+    j -= x < xp[j]
+    j = np.minimum(j + (x >= xp[j + 1]), last - 1)
+    return np.where(x >= xp[-1], fp[-1], slopes[j] * (x - xp[j]) + fp[j])
+
+
+class PassLikelihood(Sequence):
+    """The `LikelihoodField` (or None) of every batch of one tracker pass.
+
+    Fields are built `_BLOCK` batches at a time by `build(lo, hi)`, and only
+    the block last indexed is held, so reading the batches in order builds
+    each block once and a pass's memory does not grow with its length.
+    """
+
+    def __init__(self, n_batches: int, build):
+        self._n = n_batches
+        self._build = build
+        self._block: tuple[int, list] = (-1, [])
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k):
+        k = range(self._n)[k]  # checks k as a list would; a slice gives a range
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        lo = k - k % _BLOCK
+        if self._block[0] != lo:
+            self._block = (-1, [])  # release the old block before building the next
+            self._block = (lo, self._build(lo, min(lo + _BLOCK, self._n)))
+        return self._block[1][k - lo]
+
+
 def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
-                    model: VarModel | None) -> list[LikelihoodField | None]:
+                    model: VarModel | None) -> PassLikelihood:
     """The log likelihood ratio ln L(psi_deg, eta_db) of every batch of `dataset`.
 
     Each batch's ratio is one `LikelihoodField` over the beamformer's
@@ -100,7 +173,8 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
     ratio to the batch's beamformed energies interpolated at `psi_deg`;
     `cfar` scores the batch's CFAR detections and ignores the SNR. A
     batch's entry is None while the whitener is warming up, and the filter
-    then only predicts.
+    then only predicts. Each block of batches gets its ln L grid table from
+    one ratio call and its birth CDFs from one `birth_cdfs` call.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -108,27 +182,47 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
     bearings = grid.bearings_deg
     eta_grid = np.arange(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db + 1e-9,
                          cfg.filter_eta_step_db)
+
+    def fields(tables: np.ndarray, ratios) -> list[LikelihoodField]:
+        return [LikelihoodField.tabulated(bearings, eta_grid, loglr, cdf)
+                for loglr, cdf in zip(ratios, birth_cdfs(tables))]
+
     if variant == "cfar":
         energies, _, _ = beam_energies(dataset, grid)
-        return [LikelihoodField(bearings, eta_grid, lambda psi_deg, eta_db, found=found:
-                                detection_log_lr(found, psi_deg, cfg))
-                for found in cfar_detections(energies, cfg, bearings)]
+        detections = cfar_detections(energies, cfg, bearings)
+
+        def build(lo, hi):
+            found = detections[lo:hi]
+            # +inf pads the shorter detection sets; it adds exactly zero to the sum
+            padded = np.full((max(map(len, found)), hi - lo, 1), np.inf)
+            for i, dets in enumerate(found):
+                padded[:dets.size, i, 0] = dets
+            tables = np.broadcast_to(detection_log_lr(padded, bearings, cfg)[:, :, None],
+                                     (hi - lo, bearings.size, eta_grid.size))
+            return fields(tables, [lambda psi_deg, eta_db, dets=dets:
+                                   detection_log_lr(dets, psi_deg, cfg) for dets in found])
+        return PassLikelihood(dataset.n_batches, build)
     if model is None:
         raise ValueError(f"variant {variant!r} needs a noise model")
     if variant == "tvar0" and model.order != 0:
         raise ValueError("tvar0 expects an order-0 noise model")
     nu, n, m = cfg.tmodel_dof, dataset.n_per_batch, dataset.geometry.n_channels
     gaussian = variant == "gvar"
-    energies, z_norm_sq, warmup = beam_energies(dataset, grid, model)
 
-    def batch_field(row, z2):
-        def loglr(psi_deg, eta_db):
-            b = np.interp(psi_deg, bearings, row)
-            eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
-            return gauss_log_lr(b, eta, n, m) if gaussian else t_log_lr(b, z2, eta, nu, n, m)
-        return LikelihoodField(bearings, eta_grid, loglr)
-    return [None if k < warmup else batch_field(energies[k], float(z_norm_sq[k]))
-            for k in range(energies.shape[0])]
+    def ratio(energy, z2, eta_db):
+        eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
+        return gauss_log_lr(energy, eta, n, m) if gaussian else t_log_lr(energy, z2, eta, nu, n, m)
+
+    def build(lo, hi):
+        energies, z_norm_sq, warmup = _block_energies(dataset, grid, model, lo, hi)
+        energies, z_norm_sq = energies[warmup:], z_norm_sq[warmup:]
+        slopes = np.diff(energies, axis=1) / np.diff(bearings)
+        tables = ratio(energies[:, :, None], z_norm_sq[:, None, None], eta_grid)
+        return [None] * warmup + fields(tables, [
+            lambda psi_deg, eta_db, row=row, row_slopes=row_slopes, z2=float(z2):
+                ratio(uniform_interp(psi_deg, bearings, row, row_slopes), z2, eta_db)
+            for row, row_slopes, z2 in zip(energies, slopes, z_norm_sq)])
+    return PassLikelihood(dataset.n_batches, build)
 
 
 def run_tracker(dataset: Dataset, variant: str, cfg: PipelineConfig,

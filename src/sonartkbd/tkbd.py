@@ -62,23 +62,55 @@ class LikelihoodField:
     """One batch's log likelihood ratio and the (bearing, SNR) grid births use.
 
     `loglr(psi_deg, eta_db)` broadcasts over its two arguments; the update
-    reads it at the particles and `grid` at the cell centres.
+    reads it at the particles and `grid` at the cell centres. `cdf` is the
+    birth-cell CDF over the grid (`birth_cdfs`); a tracker pass builds the
+    CDFs of a block of batches at once and hands each batch its row
+    (`tabulated`), otherwise it is computed on every read.
     """
 
     def __init__(self, psi_grid: np.ndarray, eta_db_grid: np.ndarray, loglr):
         self.psi_grid = np.asarray(psi_grid, dtype=float)
         self.eta_db_grid = np.asarray(eta_db_grid, dtype=float)
         self.loglr = loglr
-        self._grid = None
+        self._cdf = None
+
+    @classmethod
+    def tabulated(cls, psi_grid: np.ndarray, eta_db_grid: np.ndarray, loglr,
+                  cdf: np.ndarray) -> "LikelihoodField":
+        """A field whose `cdf` is the given precomputed row."""
+        field = cls(psi_grid, eta_db_grid, loglr)
+        field._cdf = cdf
+        return field
 
     @property
     def grid(self) -> np.ndarray:
-        """(n_psi, n_eta) array of ln L over the cell centres, computed on first read."""
-        if self._grid is None:
-            self._grid = np.broadcast_to(
-                self.loglr(self.psi_grid[:, None], self.eta_db_grid[None, :]),
-                (self.psi_grid.size, self.eta_db_grid.size))
-        return self._grid
+        """(n_psi, n_eta) array of ln L over the cell centres."""
+        return np.broadcast_to(self.loglr(self.psi_grid[:, None], self.eta_db_grid[None, :]),
+                               (self.psi_grid.size, self.eta_db_grid.size))
+
+    @property
+    def cdf(self) -> np.ndarray:
+        """(n_psi * n_eta,) cumulative birth probabilities over the flattened grid."""
+        return self._cdf if self._cdf is not None else birth_cdfs(self.grid)
+
+
+def birth_cdfs(grids: np.ndarray) -> np.ndarray:
+    """Birth-cell CDFs of ln L grids (..., n_psi, n_eta), one per grid.
+
+    Cell probabilities are proportional to exp(ln L), or uniform where their
+    total is not finite and positive. Each CDF is their cumulative sum divided
+    by its last value: what Generator.choice(p=...) searches, without its
+    checks on p. Every reduction runs along the last axis, so a stack of grids
+    gives each grid's CDF bit for bit.
+    """
+    flat = grids.reshape(grids.shape[:-2] + (grids.shape[-2] * grids.shape[-1],))
+    probs = np.exp(flat - flat.max(axis=-1, keepdims=True))
+    total = probs.sum(axis=-1, keepdims=True)
+    ok = np.isfinite(total) & (total > 0)
+    probs = np.divide(probs, total, out=np.full_like(probs, 1.0 / flat.shape[-1]), where=ok)
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def reflect_bearing(psi_deg: np.ndarray) -> np.ndarray:
@@ -123,28 +155,18 @@ def sample_birth(field: LikelihoodField | None, cfg: PipelineConfig, n: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Draw n birth particles from the previous batch's likelihood field.
 
-    Cell probabilities are proportional to exp(ln L) over the field grid,
-    restricted to the SNR prior box; positions get uniform jitter inside
-    their cell. Without a field (first batch) the draw is uniform over the
-    prior box. Bearing rates are N(0, p_psidot) regardless.
+    Cells are drawn from the field's `cdf`, so their probabilities are
+    proportional to exp(ln L) over the field grid, restricted to the SNR
+    prior box; positions get uniform jitter inside their cell. Without a
+    field (first batch) the draw is uniform over the prior box. Bearing
+    rates are N(0, p_psidot) regardless.
     """
     if field is None:
         psi = rng.uniform(-BEARING_LIMIT_DEG, BEARING_LIMIT_DEG, n)
         eta = rng.uniform(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db, n)
     else:
-        loglr = field.grid
-        flat = loglr.ravel()
-        probs = np.exp(flat - flat.max())
-        total = probs.sum()
-        if not np.isfinite(total) or total <= 0:
-            probs = np.full(flat.size, 1.0 / flat.size)
-        else:
-            probs = probs / total
-        # what Generator.choice(p=probs) does, without its checks on p
-        cdf = np.cumsum(probs)
-        cdf /= cdf[-1]
-        cells = cdf.searchsorted(rng.random(n), side="right")
-        pi, ei = np.unravel_index(cells, loglr.shape)
+        cells = field.cdf.searchsorted(rng.random(n), side="right")
+        pi, ei = np.unravel_index(cells, (field.psi_grid.size, field.eta_db_grid.size))
         dpsi = _cell_step(field.psi_grid)
         deta = _cell_step(field.eta_db_grid)
         psi = field.psi_grid[pi] + rng.uniform(-0.5, 0.5, n) * dpsi
@@ -247,7 +269,7 @@ def update(belief: BernoulliBelief, loglr: np.ndarray, cfg: PipelineConfig,
     n_keep = cfg.filter_n_persist
     if states.shape[0] > n_keep or effective_sample_size(weights) < 0.5 * n_keep:
         idx = systematic_resample(weights, n_keep, rng)
-        states = states[idx]
+        states = states.take(idx, axis=0)
         weights = np.full(n_keep, 1.0 / n_keep)
     else:
         states = states.copy()

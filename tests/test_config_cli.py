@@ -420,6 +420,22 @@ def test_out_of_domain_config_value_fails_with_one_line(workdir, tmp_path, capsy
     assert not out.exists()
 
 
+def test_bearing_step_wider_than_the_half_plane_fails_with_one_line(workdir, tmp_path, capsys):
+    """A step over 180 deg would leave a one-bearing grid that still tracks."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(workdir / "config.ini")
+    parser.set("grid", "bearing_step_deg", "200")
+    bad = tmp_path / "bad.ini"
+    with open(bad, "w") as fh:
+        parser.write(fh)
+    out = tmp_path / "out.csv"
+    assert main(["track", "--data", str(workdir / "ds"), "--variant", "tvar",
+                 "--model", str(workdir / "model.var"), "--config", str(bad),
+                 "--out", str(out)]) == 1
+    assert "grid.bearing_step_deg must be in (0, 180]" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, expect", [
     (["calibrate-prior", "--variant", "cfar", "--step-db", "-2"], "step_db"),
     (["calibrate-prior", "--variant", "cfar", "--step-db", "0"], "step_db"),

@@ -1,17 +1,22 @@
 """The measurement front end shared by the trackers and the CLI."""
 
 import math
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sonartkbd.array import ArrayGeometry, BeamformGrid, make_steering
 from sonartkbd.config import default_config
+from sonartkbd.detect import cfar_detections, detection_log_lr
 from sonartkbd.noise import fit_var, whiten
-from sonartkbd.pipeline import VARIANTS, beam_energies, bearing_beamformer, make_likelihood
+from sonartkbd.pipeline import (VARIANTS, beam_energies, bearing_beamformer, make_likelihood,
+                                run_tracker, spawn_rng, uniform_interp)
 from sonartkbd.sim import Dataset
-from sonartkbd.stats import t_log_lr
+from sonartkbd.stats import gauss_log_lr, t_log_lr
+from sonartkbd.tkbd import sample_birth
 
 from test_array import beamform
 
@@ -114,3 +119,138 @@ def test_birth_field_equals_the_particle_ratio_on_the_grid(variant):
         pp, ee = np.meshgrid(field.psi_grid, field.eta_db_grid, indexing="ij")
         np.testing.assert_array_equal(field.grid,
                                       field.loglr(pp.ravel(), ee.ravel()).reshape(pp.shape))
+
+
+@pytest.mark.parametrize("step", [1.0, 2.0, 0.5, 0.3, 0.7])
+def test_uniform_interp_is_np_interp_bit_for_bit(step):
+    """The direct grid lookup returns np.interp's bits on every kind of bearing.
+
+    A step of 0.7 ends the grid at 89.9, so bearings up to 90 lie above it.
+    """
+    xp = np.arange(-90.0, 90.0 + 0.5 * step, step)
+    rng = np.random.default_rng(int(10 * step))
+    edges = np.concatenate([xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+                            [-90.0, 90.0], np.linspace(xp[-1], 90.0, 7)])
+    for _ in range(50):
+        fp = rng.exponential(100.0, xp.size)
+        slopes = np.diff(fp) / np.diff(xp)
+        x = np.concatenate([edges, rng.uniform(-90.0, 90.0, 2000)])
+        want = np.interp(x, xp, fp)
+        np.testing.assert_array_equal(uniform_interp(x, xp, fp, slopes).view(np.int64),
+                                      want.view(np.int64))
+
+
+def oracle_pass(variant, ds, cfg, model):
+    """Whole-pass reference for `make_likelihood`: one whitening call over the
+    stream, one beamforming call over every batch, then per batch an np.interp
+    ratio, its grid and its birth CDF, each built on its own."""
+    grid = bearing_beamformer(ds, cfg)
+    bearings = grid.bearings_deg
+    eta_grid = np.arange(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db + 1e-9,
+                         cfg.filter_eta_step_db)
+    n, k, m = ds.n_per_batch, ds.n_batches, ds.geometry.n_channels
+    data, warmup = ds.samples[:k * n], 0
+    if model is not None:
+        data, _, warmup_rows = whiten(model, data)
+        warmup = -(-warmup_rows // n)
+    batches = data.reshape(k, n, m)
+    energies, z_norm_sq = grid.energies(batches), (batches * batches).sum(axis=(1, 2))
+
+    def energy_ratio(row, z2):
+        def loglr(psi_deg, eta_db):
+            b = np.interp(psi_deg, bearings, row)
+            eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
+            if variant == "gvar":
+                return gauss_log_lr(b, eta, n, m)
+            return t_log_lr(b, z2, eta, cfg.tmodel_dof, n, m)
+        return loglr
+
+    if variant == "cfar":
+        ratios = [lambda psi_deg, eta_db, found=found: detection_log_lr(found, psi_deg, cfg)
+                  for found in cfar_detections(energies, cfg, bearings)]
+    else:
+        ratios = [None if i < warmup else energy_ratio(energies[i], float(z_norm_sq[i]))
+                  for i in range(k)]
+    fields = []
+    for loglr in ratios:
+        if loglr is None:
+            fields.append(None)
+            continue
+        table = np.broadcast_to(loglr(bearings[:, None], eta_grid[None, :]),
+                                (bearings.size, eta_grid.size))
+        flat = table.ravel()
+        probs = np.exp(flat - flat.max())
+        total = probs.sum()
+        probs = probs / total if np.isfinite(total) and total > 0 \
+            else np.full(flat.size, 1.0 / flat.size)
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        fields.append(SimpleNamespace(loglr=loglr, grid=table, cdf=cdf, psi_grid=bearings,
+                                      eta_db_grid=eta_grid))
+    return (energies, z_norm_sq, warmup), fields
+
+
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 131])
+@pytest.mark.parametrize("variant, order", [("tvar", 70), ("gvar", 3), ("tvar0", 0),
+                                            ("cfar", None)])
+def test_blocked_pass_equals_whole_pass_oracle(variant, order, k):
+    """Blocks of batches give the whole pass's front end, ln L and births bit for bit.
+
+    VAR(70) on 64-sample batches spans two warm-up batches. Every third batch
+    carries a strong broadside source, so the CFAR pass scores batches with
+    zero, one and several detections in one block.
+    """
+    cfg = default_config("sim")
+    ds = random_dataset(cfg.array_elements, cfg.batch_samples, k, seed=k)
+    rng = np.random.default_rng(k)
+    n = ds.n_per_batch
+    loud = (np.arange(k * n) // n) % 3 == 0
+    ds.samples[loud] += 3.0 * rng.standard_normal((loud.sum(), 1))
+    model = None
+    if order is not None:
+        model = fit_var(np.random.default_rng(6).standard_normal((3000, cfg.array_elements)),
+                        order)
+    (energies, z_norm_sq, warmup), want = oracle_pass(variant, ds, cfg, model)
+    grid = bearing_beamformer(ds, cfg)
+    got_front = beam_energies(ds, grid, model if variant != "cfar" else None)
+    np.testing.assert_array_equal(got_front[0], energies)
+    np.testing.assert_array_equal(got_front[1], z_norm_sq)
+    assert got_front[2] == warmup
+    if variant == "cfar" and k > 1:
+        counts = {len(f) for f in cfar_detections(energies, cfg, grid.bearings_deg)}
+        assert {0, 1} <= counts and max(counts) > 1
+    got = make_likelihood(variant, ds, cfg, model)
+    assert len(got) == k
+    for i in range(k):
+        field, ref = got[i], want[i]
+        assert (field is None) == (ref is None)
+        if ref is None:
+            continue
+        psi = np.concatenate([grid.bearings_deg, [-90.0, 90.0],
+                              rng.uniform(-90.0, 90.0, 300)])
+        eta_db = rng.uniform(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db, psi.size)
+        np.testing.assert_array_equal(field.loglr(psi, eta_db), ref.loglr(psi, eta_db))
+        np.testing.assert_array_equal(field.grid, ref.grid)
+        np.testing.assert_array_equal(field.cdf, ref.cdf)
+        np.testing.assert_array_equal(sample_birth(field, cfg, 200, np.random.default_rng(i)),
+                                      sample_birth(ref, cfg, 200, np.random.default_rng(i)))
+
+
+def test_pass_memory_does_not_grow_with_the_recording():
+    """A tracker pass holds one block of tables, whatever the recording's length.
+
+    The dataset and the model are made before tracing starts, so the traced
+    peak is the pass's own working memory.
+    """
+    cfg = default_config("sim")
+    model = fit_var(np.random.default_rng(2).standard_normal((3000, cfg.array_elements)), 3)
+    peaks = []
+    for k in (256, 1024):
+        ds = random_dataset(cfg.array_elements, cfg.batch_samples, k, seed=5)
+        tracemalloc.start()
+        try:
+            run_tracker(ds, "tvar", cfg, model, spawn_rng(5, 1, 0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
