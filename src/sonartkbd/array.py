@@ -36,8 +36,8 @@ class ArrayGeometry:
     Parameters
     ----------
     positions : ndarray, shape (M, 2)
-        Element coordinates in metres. Bearings are measured from the
-        positive y axis (broadside for a ULA laid along x), positive
+        Element coordinates in metres, M >= 2. Bearings are measured from
+        the positive y axis (broadside for a ULA laid along x), positive
         toward positive x.
     speed_of_sound : float
         Propagation speed in m/s.
@@ -51,8 +51,10 @@ class ArrayGeometry:
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
+        if pos.ndim != 2 or pos.shape[1] != 2:
             raise GeometryError(f"positions must be (M, 2), got {pos.shape}")
+        if pos.shape[0] < 2:  # one element carries no bearing information
+            raise GeometryError(f"an array needs at least 2 elements, got {pos.shape[0]}")
         if not np.all(np.isfinite(pos)):
             raise GeometryError("positions must be finite")
         same = np.triu(np.all(pos[:, None] == pos[None], axis=-1), k=1)

@@ -112,9 +112,10 @@ def _int(v) -> bool:
 # Beyond these, the SNR prior window must not be empty: snr_lo_db < snr_hi_db.
 _DOMAINS = (
     ("'real' or 'sim'", lambda v: v in ("real", "sim"), ("meta_profile",)),
-    ("a finite number", _finite,
-     ("filter_snr_lo_db", "filter_snr_hi_db", "scenario_start_bearing_deg",
-      "scenario_end_bearing_deg")),
+    ("a finite number", _finite, ("filter_snr_lo_db", "filter_snr_hi_db")),
+    # the tracked half-plane, which `load_dataset` holds truth bearings to
+    ("in [-90, 90]", lambda v: _finite(v) and -90 <= v <= 90,
+     ("scenario_start_bearing_deg", "scenario_end_bearing_deg")),
     ("a finite number > 0", lambda v: _finite(v) and v > 0,
      ("array_spacing_m", "array_speed_of_sound", "array_sample_rate",
       "filter_eta_step_db", "clutter_rate",
@@ -135,8 +136,9 @@ _DOMAINS = (
     ("an integer >= 0", lambda v: _int(v) and v >= 0,
      ("cfar_guard_cells", "cfar_train_rows")),
     ("an integer >= 1", lambda v: _int(v) and v >= 1,
-     ("array_elements", "filter_n_persist", "filter_n_birth", "cfar_train_cells",
+     ("filter_n_persist", "filter_n_birth", "cfar_train_cells",
       "eval_min_confirm_run")),
+    ("an integer >= 2", lambda v: _int(v) and v >= 2, ("array_elements",)),
     ("a positive even integer", lambda v: _int(v) and v > 0 and v % 2 == 0,
      ("batch_samples",)),
 )

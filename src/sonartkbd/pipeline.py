@@ -14,16 +14,16 @@ the same energies. `make_likelihood` turns them into one log likelihood
 ratio ln L(psi, eta) per batch, a `LikelihoodField` built from the batch's
 energy row or detections: the filter update reads it at the particles and
 the birth proposal draws from its CDF over the (bearing, SNR) grid.
-`run_tracker` drives the filter over those. A pass runs in blocks of
-`_BLOCK` batches, from raw samples to birth CDFs, and every output equals
-one pass over the whole recording bit for bit. The array, batch length N
-and period N / fs come from the dataset.
+`run_tracker` drives the filter over those as `make_likelihood` yields
+them, `_BLOCK` batches at a time from raw samples to birth CDFs with one
+block held, and every output equals one pass over the whole recording bit
+for bit. The array, batch length N and period N / fs come from the dataset.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,75 +137,36 @@ def uniform_interp(x, xp: np.ndarray, fp: np.ndarray, slopes: np.ndarray):
     return np.where(x >= xp[-1], fp[-1], slopes[j] * (x - xp[j]) + fp[j])
 
 
-class PassLikelihood(Sequence):
-    """The `LikelihoodField` (or None) of every batch of one tracker pass.
-
-    Fields are built `_BLOCK` batches at a time by `build(lo, hi)`, and only
-    the block last indexed is held, so reading the batches in order builds
-    each block once and a pass's memory does not grow with its length.
-    """
-
-    def __init__(self, n_batches: int, build):
-        self._n = n_batches
-        self._build = build
-        self._block: tuple[int, list] = (-1, [])
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, k):
-        k = range(self._n)[k]  # checks k as a list would; a slice gives a range
-        if isinstance(k, range):
-            return [self[i] for i in k]
-        lo = k - k % _BLOCK
-        if self._block[0] != lo:
-            self._block = (-1, [])  # release the old block before building the next
-            self._block = (lo, self._build(lo, min(lo + _BLOCK, self._n)))
-        return self._block[1][k - lo]
-
-
 def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
-                    model: VarModel | None) -> PassLikelihood:
-    """The log likelihood ratio ln L(psi_deg, eta_db) of every batch of `dataset`.
+                    model: VarModel | None) -> Iterator[LikelihoodField | None]:
+    """The log likelihood ratio ln L(psi_deg, eta_db) of each batch of `dataset`, in order.
 
     Each batch's ratio is one `LikelihoodField` over the beamformer's
     bearings and the SNR grid. The energy variants apply the t or Gaussian
     ratio to the batch's beamformed energies interpolated at `psi_deg`;
     `cfar` scores the batch's CFAR detections and ignores the SNR. A
     batch's entry is None while the whitener is warming up, and the filter
-    then only predicts. Each block of batches gets its ln L grid table from
-    one ratio call and its birth CDFs from one `birth_cdfs` call.
+    then only predicts. The checks on `variant` and `model` run at the
+    call; the fields come from a generator that builds one block of
+    `_BLOCK` batches at a time and holds only that block.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    if variant != "cfar" and model is None:
+        raise ValueError(f"variant {variant!r} needs a noise model")
+    if variant == "tvar0" and model.order != 0:
+        raise ValueError("tvar0 expects an order-0 noise model")
+    return _pass_fields(variant, dataset, cfg, model)
+
+
+def _pass_fields(variant: str, dataset: Dataset, cfg: PipelineConfig,
+                 model: VarModel | None) -> Iterator[LikelihoodField | None]:
+    """`make_likelihood`'s fields. Each block's ln L grid table comes from one
+    ratio call and lives only while one `birth_cdfs` call turns it into CDFs."""
     grid = bearing_beamformer(dataset, cfg)
     bearings = grid.bearings_deg
     eta_grid = np.arange(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db + 1e-9,
                          cfg.filter_eta_step_db)
-
-    def fields(tables: np.ndarray, ratios) -> list[LikelihoodField]:
-        return [LikelihoodField.tabulated(bearings, eta_grid, loglr, cdf)
-                for loglr, cdf in zip(ratios, birth_cdfs(tables))]
-
-    if variant == "cfar":
-        energies, _, _ = beam_energies(dataset, grid)
-        detections = cfar_detections(energies, cfg, bearings)
-
-        def build(lo, hi):
-            found = detections[lo:hi]
-            # +inf pads the shorter detection sets; it adds exactly zero to the sum
-            padded = np.full((max(map(len, found)), hi - lo, 1), np.inf)
-            for i, dets in enumerate(found):
-                padded[:dets.size, i, 0] = dets
-            tables = np.broadcast_to(detection_log_lr(padded, bearings, cfg)[:, :, None],
-                                     (hi - lo, bearings.size, eta_grid.size))
-            return fields(tables, [lambda psi_deg, eta_db, dets=dets:
-                                   detection_log_lr(dets, psi_deg, cfg) for dets in found])
-        return PassLikelihood(dataset.n_batches, build)
-    if model is None:
-        raise ValueError(f"variant {variant!r} needs a noise model")
-    if variant == "tvar0" and model.order != 0:
-        raise ValueError("tvar0 expects an order-0 noise model")
     nu, n, m = cfg.tmodel_dof, dataset.n_per_batch, dataset.geometry.n_channels
     gaussian = variant == "gvar"
 
@@ -213,16 +174,32 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
         eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
         return gauss_log_lr(energy, eta, n, m) if gaussian else t_log_lr(energy, z2, eta, nu, n, m)
 
-    def build(lo, hi):
-        energies, z_norm_sq, warmup = _block_energies(dataset, grid, model, lo, hi)
-        energies, z_norm_sq = energies[warmup:], z_norm_sq[warmup:]
-        slopes = np.diff(energies, axis=1) / np.diff(bearings)
-        tables = ratio(energies[:, :, None], z_norm_sq[:, None, None], eta_grid)
-        return [None] * warmup + fields(tables, [
-            lambda psi_deg, eta_db, row=row, row_slopes=row_slopes, z2=float(z2):
-                ratio(uniform_interp(psi_deg, bearings, row, row_slopes), z2, eta_db)
-            for row, row_slopes, z2 in zip(energies, slopes, z_norm_sq)])
-    return PassLikelihood(dataset.n_batches, build)
+    if variant == "cfar":
+        detections = cfar_detections(beam_energies(dataset, grid)[0], cfg, bearings)
+    k = dataset.n_batches
+    for lo in range(0, k, _BLOCK):
+        hi = min(lo + _BLOCK, k)
+        if variant == "cfar":
+            found, warmup = detections[lo:hi], 0
+            # +inf pads the shorter detection sets; it adds exactly zero to the sum
+            padded = np.full((max(map(len, found)), hi - lo, 1), np.inf)
+            for i, dets in enumerate(found):
+                padded[:dets.size, i, 0] = dets
+            cdfs = birth_cdfs(np.broadcast_to(detection_log_lr(padded, bearings, cfg)[:, :, None],
+                                              (hi - lo, bearings.size, eta_grid.size)))
+            ratios = [lambda psi_deg, eta_db, dets=dets: detection_log_lr(dets, psi_deg, cfg)
+                      for dets in found]
+        else:
+            energies, z_norm_sq, warmup = _block_energies(dataset, grid, model, lo, hi)
+            energies, z_norm_sq = energies[warmup:], z_norm_sq[warmup:]
+            slopes = np.diff(energies, axis=1) / np.diff(bearings)
+            cdfs = birth_cdfs(ratio(energies[:, :, None], z_norm_sq[:, None, None], eta_grid))
+            ratios = [lambda psi_deg, eta_db, row=row, row_slopes=row_slopes, z2=float(z2):
+                          ratio(uniform_interp(psi_deg, bearings, row, row_slopes), z2, eta_db)
+                      for row, row_slopes, z2 in zip(energies, slopes, z_norm_sq)]
+        yield from [None] * warmup
+        for loglr, cdf in zip(ratios, cdfs):
+            yield LikelihoodField(bearings, eta_grid, loglr, cdf)
 
 
 def run_tracker(dataset: Dataset, variant: str, cfg: PipelineConfig,

@@ -296,6 +296,11 @@ def load_dataset(path) -> Dataset:
             i = int(np.argmax(bad))
             raise DatasetError(f"{truth_path}: data row {i + 1} needs finite values, "
                                f"batch_index {i} and range_m > 0")
+        outside = np.abs(rows[:, 1]) > 90.0
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise DatasetError(f"{truth_path}: data row {i + 1} has psi_deg {rows[i, 1]:g}, "
+                               f"outside [-90, 90]")
         times = (rows[:, 0] + 0.5) * meta["n_per_batch"] / geom.sample_rate
         truth = ScenarioTruth(rows[:, 0].astype(int), times, rows[:, 1],
                               rows[:, 2], rows[:, 3])

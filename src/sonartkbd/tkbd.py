@@ -3,13 +3,13 @@
 The belief over a single possibly-present target is an existence
 probability q plus a weighted particle cloud over the state
 x = (bearing psi in degrees, bearing rate psi_dot in deg/s, SNR eta_dB).
-Each batch carries one log likelihood ratio ln L(psi, eta_dB), a
-`LikelihoodField`. The measurement update takes that ratio's values at the
-particles, multiplies the weights by it and folds the particle-averaged
-ratio I into q through q <- q I / (1 - q + q I). Prediction mixes survivors
-with fresh births drawn from the same ratio on the previous batch's
-(bearing, SNR) grid. No detector sits in front of the filter, the raw
-(whitened) batch drives it directly.
+Each batch carries one log likelihood ratio ln L(psi, eta_dB), held with
+its (bearing, SNR) grid and birth CDF in a `LikelihoodField`. The
+measurement update takes the ratio's values at the particles, multiplies
+the weights by it and folds the particle-averaged ratio I into q through
+q <- q I / (1 - q + q I). Prediction mixes survivors with fresh births
+drawn from the previous batch's birth CDF. No detector sits in front of
+the filter, the raw (whitened) batch drives it directly.
 
 The filter steps read their tuning from the `PipelineConfig`'s `filter_*`
 fields: survival and birth probabilities per batch, process-noise standard
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,40 +59,26 @@ class BernoulliBelief:
         return cls(0.0, states, np.full(n, 1.0 / n))
 
 
+@dataclass(frozen=True)
 class LikelihoodField:
     """One batch's log likelihood ratio and the (bearing, SNR) grid births use.
 
     `loglr(psi_deg, eta_db)` broadcasts over its two arguments; the update
-    reads it at the particles and `grid` at the cell centres. `cdf` is the
-    birth-cell CDF over the grid (`birth_cdfs`); a tracker pass builds the
-    CDFs of a block of batches at once and hands each batch its row
-    (`tabulated`), otherwise it is computed on every read.
+    reads it at the particles and `grid` at the cell centres. `cdf` is
+    `birth_cdfs(grid)`, the birth-cell CDF over the flattened grid, which a
+    tracker pass builds a block of batches at a time.
     """
 
-    def __init__(self, psi_grid: np.ndarray, eta_db_grid: np.ndarray, loglr):
-        self.psi_grid = np.asarray(psi_grid, dtype=float)
-        self.eta_db_grid = np.asarray(eta_db_grid, dtype=float)
-        self.loglr = loglr
-        self._cdf = None
-
-    @classmethod
-    def tabulated(cls, psi_grid: np.ndarray, eta_db_grid: np.ndarray, loglr,
-                  cdf: np.ndarray) -> "LikelihoodField":
-        """A field whose `cdf` is the given precomputed row."""
-        field = cls(psi_grid, eta_db_grid, loglr)
-        field._cdf = cdf
-        return field
+    psi_grid: np.ndarray
+    eta_db_grid: np.ndarray
+    loglr: Callable
+    cdf: np.ndarray
 
     @property
     def grid(self) -> np.ndarray:
         """(n_psi, n_eta) array of ln L over the cell centres."""
         return np.broadcast_to(self.loglr(self.psi_grid[:, None], self.eta_db_grid[None, :]),
                                (self.psi_grid.size, self.eta_db_grid.size))
-
-    @property
-    def cdf(self) -> np.ndarray:
-        """(n_psi * n_eta,) cumulative birth probabilities over the flattened grid."""
-        return self._cdf if self._cdf is not None else birth_cdfs(self.grid)
 
 
 def birth_cdfs(grids: np.ndarray) -> np.ndarray:

@@ -40,8 +40,10 @@ def test_ula_layout():
 def test_geometry_rejects_bad_positions():
     with pytest.raises(GeometryError):
         ArrayGeometry(np.zeros((3,)), 1500.0, 375.0)
-    with pytest.raises(GeometryError):
-        ArrayGeometry(np.array([[0.0, np.nan]]), 1500.0, 375.0)
+    with pytest.raises(GeometryError, match="at least 2 elements, got 1"):
+        ArrayGeometry(np.array([[0.0, 0.0]]), 1500.0, 375.0)
+    with pytest.raises(GeometryError, match="finite"):
+        ArrayGeometry(np.array([[0.0, np.nan], [1.0, 0.0]]), 1500.0, 375.0)
     pair = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(GeometryError, match="speed_of_sound"):
         ArrayGeometry(pair, -1.0, 375.0)

@@ -384,6 +384,22 @@ def test_coincident_hydrophones_fail_with_one_line(workdir, tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_one_hydrophone_fails_with_one_line(workdir, tmp_path, capsys):
+    """One element carries no bearing information, so its recording is refused, not tracked."""
+    ds = tmp_path / "ds"
+    shutil.copytree(workdir / "ds", ds)
+    meta = json.loads((ds / "meta.json").read_text())
+    meta["positions"] = meta["positions"][:1]
+    (ds / "meta.json").write_text(json.dumps(meta))
+    raw = np.fromfile(ds / "samples.f32", dtype="<f4")
+    raw.reshape(-1, 8)[:, :1].tofile(ds / "samples.f32")  # keep the first channel only
+    assert main(["track", "--config", str(workdir / "config.ini"), "--data", str(ds),
+                 "--variant", "cfar", "--out", str(tmp_path / "t.csv")]) == 1
+    line = _one_error_line(capsys)
+    assert str(ds / "meta.json") in line and "at least 2 elements, got 1" in line
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("variant, key, value", [
     ("tvar", "grid.bearing_step_deg", "0"),
     ("tvar", "filter.eta_step_db", "0"),
@@ -396,6 +412,8 @@ def test_coincident_hydrophones_fail_with_one_line(workdir, tmp_path, capsys):
     ("eval", "eval.min_confirm_run", "0"),
     ("tvar", "tmodel.dof", "2"),
     ("cfar", "cfar.alpha", "0"),
+    ("tvar", "array.elements", "1"),
+    ("tvar", "scenario.start_bearing_deg", "120"),
 ])
 def test_out_of_domain_config_value_fails_with_one_line(workdir, tmp_path, capsys,
                                                         variant, key, value):

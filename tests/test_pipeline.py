@@ -16,7 +16,7 @@ from sonartkbd.pipeline import (VARIANTS, beam_energies, bearing_beamformer, mak
                                 run_tracker, spawn_rng, uniform_interp)
 from sonartkbd.sim import Dataset
 from sonartkbd.stats import gauss_log_lr, t_log_lr
-from sonartkbd.tkbd import sample_birth
+from sonartkbd.tkbd import birth_cdfs, sample_birth
 
 from test_array import beamform
 
@@ -81,7 +81,7 @@ def test_make_likelihood_one_ratio_per_batch():
     cfg = default_config("sim")
     ds = random_dataset(cfg.array_elements, cfg.batch_samples, 4, seed=3)
     model = fit_var(np.random.default_rng(2).standard_normal((3000, cfg.array_elements)), 70)
-    fields = make_likelihood("tvar", ds, cfg, model)
+    fields = list(make_likelihood("tvar", ds, cfg, model))
     assert len(fields) == 4
     assert fields[:2] == [None, None]  # 70 warm-up rows span two 64-sample batches
     grid = bearing_beamformer(ds, cfg)
@@ -95,10 +95,28 @@ def test_make_likelihood_one_ratio_per_batch():
                  cfg.tmodel_dof, cfg.batch_samples, cfg.array_elements))
     np.testing.assert_array_equal(field.psi_grid, bearings)
     np.testing.assert_array_equal(field.eta_db_grid, np.arange(-12.0, -1.5, 1.0))
-    cfar = make_likelihood("cfar", ds, cfg, None)
+    cfar = list(make_likelihood("cfar", ds, cfg, None))
     assert len(cfar) == 4 and all(m is not None for m in cfar)
     # the detection ratio does not depend on the SNR argument
     assert cfar[3].loglr(bearings, -8.0).tolist() == cfar[3].loglr(bearings, -3.0).tolist()
+
+
+@pytest.mark.parametrize("variant, order, match", [
+    ("tvar1", 3, "unknown variant 'tvar1'"),
+    ("gvar", None, "variant 'gvar' needs a noise model"),
+    ("tvar0", 3, "tvar0 expects an order-0 noise model"),
+])
+def test_make_likelihood_rejects_a_bad_call_before_iterating(variant, order, match):
+    """Each ValueError is raised by the call itself, so a pass that is never
+    iterated cannot hide a bad variant or model."""
+    cfg = default_config("sim")
+    ds = random_dataset(cfg.array_elements, cfg.batch_samples, 2, seed=1)
+    model = None
+    if order is not None:
+        model = fit_var(np.random.default_rng(2).standard_normal((3000, cfg.array_elements)),
+                        order)
+    with pytest.raises(ValueError, match=match):
+        make_likelihood(variant, ds, cfg, model)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -119,6 +137,7 @@ def test_birth_field_equals_the_particle_ratio_on_the_grid(variant):
         pp, ee = np.meshgrid(field.psi_grid, field.eta_db_grid, indexing="ij")
         np.testing.assert_array_equal(field.grid,
                                       field.loglr(pp.ravel(), ee.ravel()).reshape(pp.shape))
+        np.testing.assert_array_equal(field.cdf, birth_cdfs(field.grid))
 
 
 @pytest.mark.parametrize("step", [1.0, 2.0, 0.5, 0.3, 0.7])
@@ -219,7 +238,7 @@ def test_blocked_pass_equals_whole_pass_oracle(variant, order, k):
     if variant == "cfar" and k > 1:
         counts = {len(f) for f in cfar_detections(energies, cfg, grid.bearings_deg)}
         assert {0, 1} <= counts and max(counts) > 1
-    got = make_likelihood(variant, ds, cfg, model)
+    got = list(make_likelihood(variant, ds, cfg, model))
     assert len(got) == k
     for i in range(k):
         field, ref = got[i], want[i]

@@ -219,6 +219,22 @@ def test_load_rejects_bad_truth_values(tmp_path, column, value, row):
         load_dataset(tmp_path / "run")
 
 
+@pytest.mark.parametrize("value, row", [("500", 3), ("-90.5", 0), ("90.000001", 7)])
+def test_load_rejects_truth_bearings_off_the_half_plane(tmp_path, value, row):
+    """A psi_deg outside [-90, 90] names the file, the data row and the bearing."""
+    ds = generate_dataset(straight_scenario(scenario_duration_s=2.0), np.random.default_rng(5))
+    save_dataset(ds, tmp_path / "run")
+    path = tmp_path / "run" / "truth.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[lines[0].split(",").index("psi_deg")] = value
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: data row {row + 1} has psi_deg {float(value):g}, outside [-90, 90]"
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_dataset(tmp_path / "run")
+
+
 @pytest.mark.parametrize("edit", [lambda cells: cells[:2] + ["abc"] + cells[3:],
                                   lambda cells: cells[:3],
                                   lambda cells: cells + ["1.0"]],

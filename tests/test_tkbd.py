@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sonartkbd.config import ConfigError, default_config
 from sonartkbd.tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, PSIDOT,
-                            BernoulliBelief, LikelihoodField,
+                            BernoulliBelief, LikelihoodField, birth_cdfs,
                             effective_sample_size, extract, motion_step,
                             predict, reflect_bearing, sample_birth,
                             systematic_resample, update)
@@ -23,6 +23,13 @@ def small_params(**kw):
     """The sim profile's filter config with small clouds."""
     return replace(default_config("sim"),
                    **{"filter_n_persist": 200, "filter_n_birth": 50, **kw})
+
+
+def birth_field(psi_grid, eta_grid, loglr):
+    """A `LikelihoodField` whose birth CDF is `birth_cdfs` of its own grid."""
+    field = LikelihoodField(psi_grid, eta_grid, loglr, None)
+    with np.errstate(invalid="ignore"):  # an all -inf grid takes the uniform fallback
+        return replace(field, cdf=birth_cdfs(field.grid))
 
 
 def single_particle_belief(q, psi=0.0, psidot=0.0, eta=-5.0):
@@ -237,7 +244,7 @@ def test_birth_concentrates_on_likelihood_peak():
     def loglr(psi_deg, eta_db):  # one column, broadcast over the SNR axis
         return np.where(np.abs(psi_deg - 30.0) < 2.0, 8.0, 0.0)
 
-    field = LikelihoodField(psi_grid, eta_grid, loglr)
+    field = birth_field(psi_grid, eta_grid, loglr)
     rng = np.random.default_rng(11)
     births = sample_birth(field, params, 2000, rng)
     near = np.abs(births[:, PSI] - 30.0) < 4.0
@@ -267,9 +274,8 @@ def test_birth_cells_match_generator_choice(loglr):
     params = small_params(filter_snr_lo_db=-12.0, filter_snr_hi_db=-2.0)
     psi_grid = np.arange(-90.0, 91.0, 1.0)
     eta_grid = np.arange(-12.0, -1.0, 1.0)
-    field = LikelihoodField(psi_grid, eta_grid, loglr)
-    with np.errstate(invalid="ignore"):
-        births = sample_birth(field, params, 500, np.random.default_rng(12))
+    field = birth_field(psi_grid, eta_grid, loglr)
+    births = sample_birth(field, params, 500, np.random.default_rng(12))
     want = choice_cells(field.grid, 500, np.random.default_rng(12))
     # jitter stays inside half a cell, so the nearest centre is the drawn cell
     pi = np.abs(births[:, PSI, None] - psi_grid).argmin(axis=1)
@@ -278,7 +284,8 @@ def test_birth_cells_match_generator_choice(loglr):
 
 
 def test_likelihood_field_rejects_a_grid_of_the_wrong_shape():
-    field = LikelihoodField(np.arange(5.0), np.arange(3.0), lambda psi, eta: np.zeros((3, 5)))
+    field = LikelihoodField(np.arange(5.0), np.arange(3.0), lambda psi, eta: np.zeros((3, 5)),
+                            None)
     with pytest.raises(ValueError):
         field.grid
 
