@@ -98,6 +98,17 @@ class PipelineConfig:
         if not self.filter_snr_lo_db < self.filter_snr_hi_db:
             raise ConfigError(f"filter.snr_lo_db must be below filter.snr_hi_db "
                               f"({self.filter_snr_hi_db!r}), got {self.filter_snr_lo_db!r}")
+        if not batch_period_ok(self.batch_samples, self.array_sample_rate):
+            raise ConfigError(f"array.sample_rate must be large enough that batch.samples / "
+                              f"array.sample_rate and its square are finite, "
+                              f"got {self.array_sample_rate!r}")
+
+
+def batch_period_ok(n_samples: int, sample_rate: float) -> bool:
+    """Whether the batch period N / fs and its square, which the motion model
+    takes, are finite."""
+    period = n_samples / sample_rate
+    return math.isfinite(period) and math.isfinite(period * period)
 
 
 def _finite(v) -> bool:
@@ -109,7 +120,8 @@ def _int(v) -> bool:
 
 
 # The domain of every field, grouped by kind: (requirement, test, fields).
-# Beyond these, the SNR prior window must not be empty: snr_lo_db < snr_hi_db.
+# Beyond these, the SNR prior window must not be empty: snr_lo_db < snr_hi_db,
+# and the batch period batch_samples / array_sample_rate must stay finite squared.
 _DOMAINS = (
     ("'real' or 'sim'", lambda v: v in ("real", "sim"), ("meta_profile",)),
     ("a finite number", _finite, ("filter_snr_lo_db", "filter_snr_hi_db")),

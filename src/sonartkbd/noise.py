@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky, solve, solve_discrete_lyapunov, solve_triangular
@@ -37,21 +38,32 @@ class ModelFileError(ValueError):
 
 @dataclass(frozen=True)
 class VarModel:
-    """VAR(p) coefficients `coeffs` (p, M, M) and innovation covariance (M, M)."""
+    """VAR(p) coefficients `coeffs` (p, M, M) and innovation covariance (M, M).
+
+    Both are read-only copies of what was passed in, so the spectral radius
+    and the stationary covariance are solved at most once per model and kept;
+    a pickled copy carries them along.
+    """
 
     coeffs: np.ndarray
     noise_cov: np.ndarray
 
     def __post_init__(self):
         # C order, so a copy pickled to a worker process computes bit for bit alike
-        a = np.ascontiguousarray(self.coeffs, dtype=float)
+        a = np.array(self.coeffs, dtype=float, order="C")
         s = np.asarray(self.noise_cov, dtype=float)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise FitError(f"coeffs must be (p, M, M), got {a.shape}")
         if s.shape != (a.shape[1], a.shape[1]):
             raise FitError(f"noise_cov must be ({a.shape[1]}, {a.shape[1]}), got {s.shape}")
-        object.__setattr__(self, "coeffs", a)
-        object.__setattr__(self, "noise_cov", 0.5 * (s + s.T))
+        self.__setstate__({"coeffs": a, "noise_cov": 0.5 * (s + s.T)})
+
+    def __setstate__(self, state: dict) -> None:
+        # also how pickle restores a model, so a worker's copy is read-only too
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
 
     @property
     def order(self) -> int:
@@ -76,22 +88,29 @@ class VarModel:
         return comp
 
     def spectral_radius(self) -> float:
+        return self._radius
+
+    def stationary_cov(self) -> np.ndarray:
+        """Lag-0 covariance of the stationary process, a copy of the stored one."""
+        if self.spectral_radius() >= 1.0:
+            raise InstabilityError("model is not stable, no stationary covariance")
+        return self._stationary.copy()
+
+    @cached_property
+    def _radius(self) -> float:
         if self.order == 0:
             return 0.0
         return float(np.abs(np.linalg.eigvals(self.companion())).max())
 
-    def stationary_cov(self) -> np.ndarray:
-        """Lag-0 covariance of the stationary process, solved in companion form."""
-        if self.spectral_radius() >= 1.0:
-            raise InstabilityError("model is not stable, no stationary covariance")
+    @cached_property
+    def _stationary(self) -> np.ndarray:
+        """Solved in companion form (Lutkepohl 2005, sec. 2.1)."""
         p, m = self.order, self.n_channels
         if p == 0:
             return self.noise_cov.copy()
-        comp = self.companion()
         q = np.zeros((p * m, p * m))
         q[:m, :m] = self.noise_cov
-        full = solve_discrete_lyapunov(comp, q)
-        return full[:m, :m]
+        return solve_discrete_lyapunov(self.companion(), q)[:m, :m].copy()
 
 
 def fit_var(data: np.ndarray, order: int) -> VarModel:
@@ -251,12 +270,13 @@ class NoiseStream:
     The recursion advances in blocks of `_BLOCK` samples on a grid that starts
     at the first burn-in sample. One product with the lifted matrix
     W = [T | H] maps a block's innovations and the history before it to the
-    block's samples (companion form, Lutkepohl 2005, sec. 2.1). A `take` that
+    block's samples (companion form, Lutkepohl 2005, sec. 2.1). A call that
     ends inside a block keeps its innovations and finishes the block on the
     next call. Row i of the product depends only on row i of W, and T is
     causal, so row i meets the innovations after sample i (stale ones from
     the previous block, or zeros) only through exact zeros: the block
-    arithmetic gives the same bits however the `take` calls split the stream.
+    arithmetic gives the same bits however the `take` or `run` calls split the
+    stream.
     """
 
     def __init__(self, model: VarModel, rng: np.random.Generator):
@@ -273,31 +293,58 @@ class NoiseStream:
             #  history y_{-1}, ..., y_{-p} before it]
             self._state = np.zeros((_BLOCK + p) * m)
             self._filled = 0  # samples of the open block already handed out
+            # a finished block's newest min(p, L) samples enter the history
+            # newest first, after the older ones still in reach shift back
+            history = self._state[_BLOCK * m:]
+            kept = min(p, _BLOCK)
+            self._newest = history[:kept * m].reshape(kept, m)
+            self._shift = (history[_BLOCK * m:], history[:(p - kept) * m])
         self.take(max(10 * model.order, 1000))  # burn-in
 
     def take(self, n: int) -> np.ndarray:
         """Next n samples, shape (n, M)."""
-        p, m = self.model.order, self.model.n_channels
-        innov = self.rng.standard_normal((n, m)) @ self._chol.T
-        if p == 0:
+        return self.run(self.rng.standard_normal((n, self.model.n_channels)))
+
+    def run(self, z: np.ndarray) -> np.ndarray:
+        """Next len(z) samples, shape (n, M), driven by the standard normals
+        `z` (n, M) that `take(n)` would have drawn."""
+        innov = z @ self._chol.T
+        if self.model.order == 0:
             return innov
-        flat = innov.ravel()
-        out = np.empty(n * m)
-        state, block = self._state, _BLOCK * m
-        done = 0
-        while done < n:
-            k = min(_BLOCK - self._filled, n - done)
-            lo, hi = self._filled * m, (self._filled + k) * m
-            state[lo:hi] = flat[done * m:(done + k) * m]
-            y = self._lifted @ state
-            out[done * m:(done + k) * m] = y[lo:hi]
-            done += k
-            self._filled += k
-            if self._filled == _BLOCK:
-                newest_first = y.reshape(_BLOCK, m)[::-1].ravel()
-                state[block:] = np.concatenate([newest_first, state[block:]])[:p * m]
-                self._filled = 0
-        return out.reshape(n, m)
+        n, m = innov.shape
+        out = np.empty_like(innov)
+        # finish the open block, then whole blocks, then open the next one
+        head = min(-self._filled % _BLOCK, n)
+        whole = head + (n - head) // _BLOCK * _BLOCK
+        self._part(innov[:head], out[:head])
+        blocks = out[head:whole].reshape(-1, _BLOCK, m)
+        state, fresh = self._state, self._state[:_BLOCK * m]
+        (older, keep), newest = self._shift, self._newest
+        for e, y, newest_first in zip(innov[head:whole].reshape(-1, _BLOCK * m),
+                                      blocks.reshape(-1, _BLOCK * m),
+                                      blocks[:, ::-1][:, :newest.shape[0]]):
+            fresh[:] = e
+            np.matmul(self._lifted, state, out=y)
+            older[:] = keep
+            newest[:] = newest_first
+        self._part(innov[whole:], out[whole:])
+        return out
+
+    def _part(self, innov: np.ndarray, out: np.ndarray) -> None:
+        """The next samples of the open block, at most up to its end."""
+        k, m = innov.shape
+        if not k:
+            return
+        lo = self._filled * m
+        self._state[lo:lo + k * m] = innov.ravel()
+        y = self._lifted @ self._state
+        out[:] = y[lo:lo + k * m].reshape(k, m)
+        self._filled += k
+        if self._filled == _BLOCK:
+            older, keep = self._shift
+            older[:] = keep
+            self._newest[:] = y.reshape(_BLOCK, m)[::-1][:self._newest.shape[0]]
+            self._filled = 0
 
 
 def _lifted_var(model: VarModel) -> np.ndarray:
@@ -359,6 +406,8 @@ def load_var(path) -> VarModel:
         raise ModelFileError(f"{path}: non-finite {part} value")
     coeffs = body[:p * m * m].reshape(p, m, m)
     sigma = body[p * m * m:].reshape(m, m)
+    if np.abs(sigma).max(initial=0.0) > np.finfo(float).max / 2:
+        raise ModelFileError(f"{path}: covariance value too large to symmetrise")
     model = VarModel(coeffs.copy(), sigma.copy())
     try:
         model.noise_chol()

@@ -26,9 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .array import ArrayGeometry, apply_steering, make_steering
-from .config import PipelineConfig
+from .array import ArrayGeometry, make_steering
+from .config import PipelineConfig, batch_period_ok
 from .noise import NoiseStream, VarModel
+
+# batches per block of `simulate_batches`, whose temporaries then take about 2 MB
+_SIM_BLOCK = 64
 
 
 class ScenarioError(ValueError):
@@ -131,26 +134,54 @@ def channel_noise_power(model: VarModel) -> float:
     return float(np.exp(logdet / model.n_channels))
 
 
+def simulate_batches(scenario: Scenario, psi_deg: np.ndarray, eta_db: np.ndarray | None,
+                     noise: NoiseStream, rng: np.random.Generator,
+                     noise_power: float) -> np.ndarray:
+    """K consecutive batches, (K N, M): steered source plus streamed noise,
+    each batch jointly scaled.
+
+    Batch k carries a source at bearing `psi_deg[k]` and SNR `eta_db[k]`;
+    `eta_db=None` means no target. The chi-square scale draw happens for
+    every batch either way so target-free data has the same heavy-tailed
+    batch statistics.
+
+    Works `_SIM_BLOCK` batches at a time. A loop draws each batch's numbers
+    in turn (innovation normals, source normals, chi-square scale), so the
+    random stream is the same however the batches are grouped; the noise
+    stream, the steering and the scaling then run once over the block, and
+    every sample comes out bit for bit as if made one batch at a time.
+    """
+    cfg, geom = scenario.cfg, scenario.geometry
+    n, m, dof = cfg.batch_samples, geom.n_channels, cfg.scenario_sim_dof
+    k_total = len(psi_deg)
+    out = np.empty((k_total, n, m))
+    for lo in range(0, k_total, _SIM_BLOCK):
+        block = out[lo:lo + _SIM_BLOCK]
+        b = block.shape[0]
+        z = np.empty((b, n, m))
+        source = np.empty((b, n))
+        c = np.empty(b)
+        for i in range(b):
+            rng.standard_normal(out=z[i])
+            if eta_db is not None:
+                sigma_s = np.sqrt(10.0 ** (float(eta_db[lo + i]) / 10.0) * noise_power)
+                source[i] = rng.normal(0.0, sigma_s, n)
+            c[i] = rng.chisquare(dof)
+        block[:] = noise.run(z.reshape(b * n, m)).reshape(b, n, m)
+        if eta_db is not None:
+            steer = make_steering(geom, psi_deg[lo:lo + b], n)  # (M, B, N)
+            steer *= np.fft.fft(source, axis=1)
+            block += np.fft.ifft(steer, axis=2).real.transpose(1, 2, 0)
+        block *= np.sqrt(dof / c)[:, None, None]
+    return out.reshape(k_total * n, m)
+
+
 def generate_batch(scenario: Scenario, psi_deg: float, eta_db: float | None,
                    noise: NoiseStream, rng: np.random.Generator,
                    noise_power: float) -> np.ndarray:
-    """One (N, M) batch: steered source plus streamed noise, jointly scaled.
-
-    `eta_db=None` means no target in this batch. The chi-square scale draw
-    happens for every batch either way so target-free data has the same
-    heavy-tailed batch statistics.
-    """
-    n = scenario.cfg.batch_samples
-    e = noise.take(n)
-    if eta_db is not None:
-        sigma_s = np.sqrt(10.0 ** (eta_db / 10.0) * noise_power)
-        source = rng.normal(0.0, sigma_s, n)
-        op = make_steering(scenario.geometry, psi_deg, n)
-        batch = apply_steering(op, source) + e
-    else:
-        batch = e
-    c = rng.chisquare(scenario.cfg.scenario_sim_dof)
-    return np.sqrt(scenario.cfg.scenario_sim_dof / c) * batch
+    """One (N, M) batch of :func:`simulate_batches`."""
+    eta = None if eta_db is None else [eta_db]
+    return simulate_batches(scenario, np.array([psi_deg]), eta, noise, rng, noise_power)
 
 
 @dataclass
@@ -180,12 +211,8 @@ def generate_dataset(scenario: Scenario, rng: np.random.Generator,
     truth = truth_from_path(scenario)
     noise = NoiseStream(scenario.ambient, rng)
     power = channel_noise_power(scenario.ambient)
-    n = cfg.batch_samples
-    out = np.empty((truth.batch_index.size * n, scenario.geometry.n_channels))
-    for k in truth.batch_index:
-        eta = None if target_free else float(truth.eta_db[k])
-        out[k * n:(k + 1) * n] = generate_batch(
-            scenario, float(truth.psi_deg[k]), eta, noise, rng, power)
+    out = simulate_batches(scenario, truth.psi_deg, None if target_free else truth.eta_db,
+                           noise, rng, power)
     meta = {
         "target_free": bool(target_free),
         "speed": cfg.scenario_speed_mps,
@@ -194,7 +221,7 @@ def generate_dataset(scenario: Scenario, rng: np.random.Generator,
         "sim_dof": cfg.scenario_sim_dof,
         "waypoints": [scenario.start.tolist(), scenario.end.tolist()],
     }
-    return Dataset(scenario.geometry, out, n, truth, seed, meta)
+    return Dataset(scenario.geometry, out, cfg.batch_samples, truth, seed, meta)
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -263,6 +290,9 @@ def load_dataset(path) -> Dataset:
                              meta["speed_of_sound"], meta["sample_rate"])
     except (ValueError, TypeError) as err:
         raise DatasetError(f"{meta_path}: {err}") from err
+    if not batch_period_ok(meta["n_per_batch"], geom.sample_rate):
+        raise DatasetError(f"{meta_path}: sample_rate {geom.sample_rate!r:.40} is too small, "
+                           f"n_per_batch / sample_rate and its square must be finite")
     raw = np.fromfile(root / "samples.f32", dtype="<f4")
     m = geom.n_channels
     n_rows = meta["n_batches"] * meta["n_per_batch"]

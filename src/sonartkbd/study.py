@@ -23,8 +23,8 @@ from .config import PipelineConfig
 from .evaluate import RunReport, make_run_report, median_detection_eta
 from .noise import NoiseStream, VarModel, fit_var
 from .pipeline import VARIANTS, TrackLog, run_tracker, spawn_rng
-from .sim import (Dataset, Scenario, channel_noise_power, generate_batch,
-                  generate_dataset)
+from .sim import (Dataset, Scenario, channel_noise_power, generate_dataset,
+                  simulate_batches)
 
 # component keys for the documented seed-splitting scheme
 SEED_SIMULATE, SEED_TRACK, SEED_CALIBRATE, SEED_AMBIENT = 0, 1, 2, 3
@@ -120,10 +120,7 @@ def fit_observed_models(scenario: Scenario, master_seed: int) -> tuple[VarModel,
     noise = NoiseStream(scenario.ambient, rng)
     power = channel_noise_power(scenario.ambient)
     n_batches = max(1, int(round(OBSERVED_SECONDS / scenario.batch_period)))
-    rec = np.concatenate([
-        generate_batch(scenario, 0.0, None, noise, rng, power)
-        for _ in range(n_batches)
-    ], axis=0)
+    rec = simulate_batches(scenario, np.zeros(n_batches), None, noise, rng, power)
     model = fit_var(rec, VAR_ORDER)
     model0 = fit_var(rec, 0)
     return model, model0

@@ -384,6 +384,22 @@ def test_coincident_hydrophones_fail_with_one_line(workdir, tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_sample_rate_too_small_for_the_motion_model_fails_with_one_line(workdir, tmp_path,
+                                                                      capsys):
+    """N / fs is finite at 1e-300 Hz but its square, which the motion model
+    takes, is not: the dataset is refused at load, naming the rate."""
+    ds = tmp_path / "ds"
+    shutil.copytree(workdir / "ds", ds)
+    meta = json.loads((ds / "meta.json").read_text())
+    meta["sample_rate"] = 1e-300
+    (ds / "meta.json").write_text(json.dumps(meta))
+    assert main(["track", "--config", str(workdir / "config.ini"), "--data", str(ds),
+                 "--variant", "cfar", "--out", str(tmp_path / "t.csv")]) == 1
+    line = _one_error_line(capsys)
+    assert str(ds / "meta.json") in line and "sample_rate 1e-300 is too small" in line
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_one_hydrophone_fails_with_one_line(workdir, tmp_path, capsys):
     """One element carries no bearing information, so its recording is refused, not tracked."""
     ds = tmp_path / "ds"
@@ -414,6 +430,7 @@ def test_one_hydrophone_fails_with_one_line(workdir, tmp_path, capsys):
     ("cfar", "cfar.alpha", "0"),
     ("tvar", "array.elements", "1"),
     ("tvar", "scenario.start_bearing_deg", "120"),
+    ("tvar", "array.sample_rate", "1e-300"),
 ])
 def test_out_of_domain_config_value_fails_with_one_line(workdir, tmp_path, capsys,
                                                         variant, key, value):

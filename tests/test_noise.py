@@ -287,6 +287,13 @@ def var40():
     return model
 
 
+def var20():
+    """A stable 2-channel order-20 model: more lags than one block, fewer than two."""
+    model = VarModel(0.02 * np.random.default_rng(5).standard_normal((20, 2, 2)), np.eye(2))
+    assert model.spectral_radius() < 0.95
+    return model
+
+
 def fitted_ambient():
     """The default order-14, 8-channel generator model."""
     model, _ = default_ambient_model(default_geometry(default_config()))
@@ -294,8 +301,8 @@ def fitted_ambient():
     return model
 
 
-@pytest.mark.parametrize("make", [var1, known_var2, fitted_ambient, var40],
-                         ids=["p1", "p2", "p14", "p40"])
+@pytest.mark.parametrize("make", [var1, known_var2, fitted_ambient, var40, var20],
+                         ids=["p1", "p2", "p14", "p40", "p20"])
 def test_stream_matches_per_sample_recursion(make):
     model = make()
     want = per_sample_stream(model, np.random.default_rng(21), 3000)
@@ -390,6 +397,19 @@ def test_load_rejects_covariance_that_is_not_positive_definite(tmp_path):
         load_var(path)
 
 
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_load_rejects_covariance_whose_symmetrised_form_overflows(tmp_path, at):
+    cov = np.eye(2)
+    cov[at] = cov[at[::-1]] = 1.7e308
+    path = tmp_path / "huge.varm"
+    save_var(VarModel(np.zeros((1, 2, 2)), np.eye(2)), path)
+    raw = bytearray(path.read_bytes())
+    raw[-32:] = cov.astype("<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ModelFileError, match="too large to symmetrise"):
+        load_var(path)
+
+
 def test_fit_rejects_short_data():
     with pytest.raises(FitError):
         fit_var(np.zeros((3, 4)), 14)
@@ -405,3 +425,96 @@ def test_whiten_output_finite(seed, n):
     assert white.shape == data.shape
     assert 0 <= warmup <= min(2, n)
     assert isinstance(state, WhitenState)
+
+
+def var3_8ch():
+    """A stable 8-channel order-3 model with correlated innovations."""
+    rng = np.random.default_rng(6)
+    mix = np.eye(8) + 0.2 * rng.standard_normal((8, 8))
+    model = VarModel(0.08 * rng.standard_normal((3, 8, 8)), mix @ mix.T)
+    assert model.spectral_radius() < 0.95
+    return model
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.integers(1, 70), min_size=1, max_size=8),
+       which=st.sampled_from(["p20", "m8"]))
+def test_run_on_drawn_normals_equals_take(sizes, which):
+    """`run` on the normals a `take` would draw gives its bits, for any split."""
+    model = var20() if which == "p20" else var3_8ch()
+    taken = NoiseStream(model, np.random.default_rng(31))
+    rng = np.random.default_rng(31)
+    driven = NoiseStream(model, rng)
+    for n in sizes:
+        want = taken.take(n)
+        np.testing.assert_array_equal(driven.run(rng.standard_normal((n, model.n_channels))),
+                                      want)
+    if which == "p20":  # on two channels every split also gives the bits of one take
+        whole = NoiseStream(model, np.random.default_rng(31)).take(sum(sizes))
+        again = NoiseStream(model, np.random.default_rng(31))
+        np.testing.assert_array_equal(np.vstack([again.take(n) for n in sizes]), whole)
+
+
+def test_model_arrays_are_read_only_copies():
+    coeffs, cov = known_var2().coeffs.copy(), known_var2().noise_cov.copy()
+    model = VarModel(coeffs, cov)
+    coeffs[0, 0, 0] = cov[0, 0] = 9.0  # the caller's arrays stay the caller's
+    assert model.coeffs[0, 0, 0] == 0.5 and model.noise_cov[0, 0] != 9.0
+    for arr in (model.coeffs, model.noise_cov):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("make", [var1, known_var2, var20], ids=["p1", "p2", "p20"])
+def test_stored_stationary_figures_equal_a_fresh_solve(make):
+    from scipy.linalg import solve_discrete_lyapunov
+    model = make()
+    comp = model.companion()
+    q = np.zeros_like(comp)
+    q[:model.n_channels, :model.n_channels] = model.noise_cov
+    fresh = solve_discrete_lyapunov(comp, q)[:model.n_channels, :model.n_channels]
+    assert model.spectral_radius() == np.abs(np.linalg.eigvals(comp)).max()
+    first = model.stationary_cov()
+    np.testing.assert_array_equal(first, fresh)
+    first[:] = 0.0  # a copy: the stored covariance does not go stale
+    np.testing.assert_array_equal(model.stationary_cov(), fresh)
+
+
+def test_pickled_model_carries_its_stored_figures():
+    import pickle
+    model = known_var2()
+    cov = model.stationary_cov()
+    back = pickle.loads(pickle.dumps(model))
+    assert {"_radius", "_stationary"} <= set(vars(back))
+    np.testing.assert_array_equal(back.stationary_cov(), cov)
+    assert back.spectral_radius() == model.spectral_radius()
+    assert not (back.coeffs.flags.writeable or back.noise_cov.flags.writeable)
+
+
+@pytest.fixture(scope="module")
+def saved_var2(tmp_path_factory):
+    """A directory to write into and the bytes of `known_var2` saved."""
+    root = tmp_path_factory.mktemp("var")
+    save_var(known_var2(), root / "var2.varm")
+    return root, (root / "var2.varm").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_model_file_loads_clean_or_fails_with_model_file_error(saved_var2, data):
+    """Byte flips and truncations either give a usable model or a ModelFileError."""
+    root, good = saved_var2
+    raw = bytearray(good)
+    for _ in range(data.draw(st.integers(0, 3), label="flips")):
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+    raw = raw[:data.draw(st.sampled_from([len(raw)]) | st.integers(0, len(raw) - 1),
+                         label="length")]
+    path = root / "bad.varm"
+    path.write_bytes(bytes(raw))
+    try:
+        model = load_var(path)
+    except ModelFileError:
+        return
+    assert np.isfinite(model.coeffs).all() and np.isfinite(model.noise_cov).all()
+    assert np.isfinite(model.noise_chol()).all()

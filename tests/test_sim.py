@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sonartkbd.array import ArrayGeometry
+from sonartkbd.array import ArrayGeometry, apply_steering, make_steering
 from sonartkbd.config import ConfigError, default_config
 from sonartkbd.noise import NoiseStream, VarModel, fit_var
 from sonartkbd.sim import (Dataset, DatasetError, ScenarioError,
@@ -90,6 +90,70 @@ def test_channel_noise_power_is_geometric_mean_det():
     model = VarModel(np.zeros((0, 2, 2)), cov)
     expected = np.linalg.det(cov) ** 0.5
     assert channel_noise_power(model) == pytest.approx(expected, rel=1e-12)
+
+
+def coloured_model(m=4):
+    """A stable order-3 model with correlated innovations."""
+    rng = np.random.default_rng(12)
+    mix = np.eye(m) + 0.3 * rng.standard_normal((m, m))
+    model = VarModel(0.15 * rng.standard_normal((3, m, m)), mix @ mix.T)
+    assert model.spectral_radius() < 0.95
+    return model
+
+
+def crossing_scenario(n_batches):
+    """`n_batches` of a target crossing from -40 to 35 deg past a 4-element
+    array in coloured noise."""
+    cfg = replace(default_config("sim"), array_elements=4, scenario_start_bearing_deg=-40.0,
+                  scenario_end_bearing_deg=35.0)
+    period = cfg.batch_samples / cfg.array_sample_rate
+    cfg = replace(cfg, scenario_duration_s=(n_batches + 0.5) * period)
+    sc = scenario_from_config(cfg, default_geometry(cfg), coloured_model())
+    assert sc.n_batches() == n_batches
+    return sc
+
+
+def reference_batch(scenario, psi_deg, eta_db, noise, rng, noise_power):
+    """One batch as the simulator made it before it worked in blocks."""
+    n, dof = scenario.cfg.batch_samples, scenario.cfg.scenario_sim_dof
+    batch = noise.take(n)
+    if eta_db is not None:
+        source = rng.normal(0.0, np.sqrt(10.0 ** (eta_db / 10.0) * noise_power), n)
+        batch = apply_steering(make_steering(scenario.geometry, psi_deg, n), source) + batch
+    return np.sqrt(dof / rng.chisquare(dof)) * batch
+
+
+def reference_dataset(scenario, rng, target_free):
+    """`generate_dataset`'s samples made one batch at a time."""
+    truth = truth_from_path(scenario)
+    noise = NoiseStream(scenario.ambient, rng)
+    power = channel_noise_power(scenario.ambient)
+    return np.concatenate([
+        reference_batch(scenario, float(truth.psi_deg[k]),
+                        None if target_free else float(truth.eta_db[k]), noise, rng, power)
+        for k in truth.batch_index])
+
+
+@pytest.mark.parametrize("target_free", [False, True], ids=["target", "target-free"])
+@pytest.mark.parametrize("n_batches", [1, 63, 64, 65, 130])
+def test_blocked_dataset_is_bit_identical_to_one_batch_at_a_time(n_batches, target_free):
+    sc = crossing_scenario(n_batches)
+    got = generate_dataset(sc, np.random.default_rng(n_batches), target_free=target_free)
+    want = reference_dataset(sc, np.random.default_rng(n_batches), target_free)
+    assert got.samples.shape == (n_batches * sc.cfg.batch_samples, 4)
+    np.testing.assert_array_equal(got.samples, want)
+
+
+def test_generate_batch_is_bit_identical_to_one_batch_at_a_time():
+    sc = crossing_scenario(4)
+    power = channel_noise_power(sc.ambient)
+    streams = []
+    for _ in range(2):
+        rng = np.random.default_rng(13)
+        streams.append((NoiseStream(sc.ambient, rng), rng))
+    for psi, eta in ((25.0, 3.0), (25.0, None), (-61.5, -12.0), (0.0, None)):
+        want = reference_batch(sc, psi, eta, *streams[0], power)
+        np.testing.assert_array_equal(generate_batch(sc, psi, eta, *streams[1], power), want)
 
 
 def test_batch_scale_inflates_covariance_by_dof_ratio():
