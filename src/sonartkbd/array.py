@@ -104,15 +104,17 @@ def delay_spectrum(tau, n_samples: int, sample_rate: float) -> np.ndarray:
     Requires an even length so the Nyquist bin exists; its factor is the
     real cos(tau pi fs), all other bins get unit-modulus phase ramps. An
     array of delays gives one spectrum per delay along a new last axis.
+    Bins above N/2 are the conjugates of their mirrors, bit for bit.
     """
     n = int(n_samples)
     if n % 2 != 0 or n < 2:
         raise BatchShapeError(f"delay spectrum needs an even length, got {n}")
     shift = np.asarray(tau, dtype=float) * sample_rate  # delay in samples
-    k = np.arange(n)
-    signed = np.where(k <= n // 2, k, k - n)
-    gamma = np.exp(-2j * np.pi * signed * shift[..., None] / n)
-    gamma[..., n // 2] = np.cos(np.pi * shift)
+    half = n // 2
+    gamma = np.empty(shift.shape + (n,), dtype=complex)
+    gamma[..., :half] = np.exp(-2j * np.pi * np.arange(half) * shift[..., None] / n)
+    gamma[..., half] = np.cos(np.pi * shift)
+    gamma[..., half + 1:] = gamma[..., half - 1:0:-1].conj()
     return gamma
 
 

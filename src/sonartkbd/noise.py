@@ -17,8 +17,6 @@ from scipy.linalg import cholesky, solve, solve_discrete_lyapunov, solve_triangu
 
 _MAGIC = b"SONARVAR"
 _VERSION = 1
-# values per row chunk of the lag matrix in `_lag_gram` (8 MB of float64)
-_GRAM_CHUNK_VALUES = 1 << 20
 # samples per matrix-vector product in `NoiseStream`; on the 8-channel
 # order-14 generator 16 runs as fast as 32 and keeps the matrix a third the size
 _BLOCK = 16
@@ -122,9 +120,7 @@ def fit_var(data: np.ndarray, order: int) -> VarModel:
     trace only if they come back singular. Both are read from blocks of the
     lag Gram matrix (Lutkepohl 2005, sec. 3.2), with no design matrix formed.
     """
-    y = np.asarray(data, dtype=float)
-    if y.ndim != 2:
-        raise FitError(f"data must be (T, M), got shape {y.shape}")
+    y = _check_data(data)
     t_total, m = y.shape
     p = int(order)
     if p < 0:
@@ -132,10 +128,9 @@ def fit_var(data: np.ndarray, order: int) -> VarModel:
     if t_total <= p * m + p + 1:
         raise FitError(
             f"need more than p*M + p + 1 = {p * m + p + 1} samples for order {p}, got {t_total}")
+    gram = _lag_gram(y, p)
     if p == 0:
-        sigma = y.T @ y / (t_total - 1)
-        return VarModel(np.zeros((0, m, m)), sigma)
-    gram = _lag_gram(y, p, t_total - p)
+        return VarModel(np.zeros((0, m, m)), gram / (t_total - 1))
     beta = _solve_normal(gram[m:, m:], gram[m:, :m])
     sigma = (gram[:m, :m] - gram[m:, :m].T @ beta) / (t_total - p - 1)
     coeffs = np.stack([beta[i * m:(i + 1) * m].T for i in range(p)])
@@ -150,9 +145,9 @@ def select_order(data: np.ndarray, max_order: int) -> tuple[int, np.ndarray]:
     sample set n = p..T-1, the same divisor T - p - 1 and the same ridge
     fallback. A singular or indefinite Sigma_w scores inf.
 
-    One pass over the data, in row chunks of bounded size, adds up the Gram
-    matrix of z_n = [y_n, y_{n-1}, ..., y_{n-P}] (P = max_order, zero where a
-    lag reaches before the first sample). Order p takes that matrix less the
+    One Gram matrix serves every order, that of z_n = [y_n, y_{n-1}, ...,
+    y_{n-P}] (P = max_order, zero where a lag reaches before the first
+    sample), built from P + 1 lag products. Order p takes that matrix less the
     outer products of z_0..z_{p-1}, which is the Gram matrix over n = p..T-1,
     and reads its normal equations from the leading (p+1)M block. Like
     `fit_var`, it needs T > P M + P + 1 samples; the check runs before any
@@ -160,9 +155,7 @@ def select_order(data: np.ndarray, max_order: int) -> tuple[int, np.ndarray]:
 
     Returns the winning order and the full score vector for diagnostics.
     """
-    y = np.asarray(data, dtype=float)
-    if y.ndim != 2:
-        raise FitError(f"data must be (T, M), got shape {y.shape}")
+    y = _check_data(data)
     p_max = int(max_order)
     if p_max < 0:
         raise FitError(f"max_order must be >= 0, got {max_order}")
@@ -171,7 +164,7 @@ def select_order(data: np.ndarray, max_order: int) -> tuple[int, np.ndarray]:
         raise FitError(f"need more than p*M + p + 1 = {p_max * m + p_max + 1} samples "
                        f"for max_order {p_max}, got {t_total}")
     padded = np.vstack([np.zeros((p_max, m)), y])
-    full = _lag_gram(padded, p_max, t_total)
+    full = _lag_gram(padded, p_max)
     head = _lag_rows(padded, p_max, 0, p_max)
     scores = np.empty(p_max + 1)
     for p in range(p_max + 1):
@@ -198,14 +191,37 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return solve(gram + ridge * np.eye(gram.shape[0]), rhs, assume_a="pos")
 
 
-def _lag_gram(padded: np.ndarray, p_max: int, n_rows: int) -> np.ndarray:
-    """Gram matrix of `_lag_rows` 0..n_rows-1, summed in chunks of `_GRAM_CHUNK_VALUES`."""
-    width = (p_max + 1) * padded.shape[1]
-    rows = max(1, _GRAM_CHUNK_VALUES // width)
-    gram = np.zeros((width, width))
-    for start in range(0, n_rows, rows):
-        z = _lag_rows(padded, p_max, start, min(start + rows, n_rows))
-        gram += z.T @ z
+def _check_data(data) -> np.ndarray:
+    """The (T, M) float recording, or a `FitError` naming its first non-finite row."""
+    y = np.asarray(data, dtype=float)
+    if y.ndim != 2:
+        raise FitError(f"data must be (T, M), got shape {y.shape}")
+    bad = ~np.isfinite(y).all(axis=1)
+    if bad.any():
+        raise FitError(f"data row {int(np.argmax(bad))} is not finite")
+    return y
+
+
+def _lag_gram(padded: np.ndarray, p_max: int) -> np.ndarray:
+    """Gram matrix of all `_lag_rows` of `padded` (L, M), from P + 1 lag products.
+
+    Block (i, j) with i >= j sums padded[a]^T padded[a + d], d = i - j, over
+    a = P-i..L-1-i: the lag-d product C_d over all L - d pairs, less the P - i
+    pairs before that range and the j after it (Lutkepohl 2005, sec. 3.2).
+    """
+    length, m = padded.shape
+    gram = np.empty(((p_max + 1) * m,) * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(p_max + 1):
+            lag = padded[:length - d].T @ padded[d:]
+            for j in range(p_max + 1 - d):
+                i = j + d
+                block = (lag - padded[:p_max - i].T @ padded[d:p_max - j]
+                         - padded[length - i:length - d].T @ padded[length - j:])
+                gram[i * m:(i + 1) * m, j * m:(j + 1) * m] = block
+                gram[j * m:(j + 1) * m, i * m:(i + 1) * m] = block.T
+    if not np.isfinite(gram).all():
+        raise FitError("data too large: its lag products overflow")
     return gram
 
 

@@ -100,6 +100,25 @@ def test_fractional_delay_output_is_real(tau, seed):
     assert np.abs(y.imag).max() < 1e-12
 
 
+def full_band_delay_spectrum(tau, n, fs):
+    """The exponential on all N bins, with signed bin numbers, then cos at Nyquist."""
+    shift = np.asarray(tau, dtype=float) * fs
+    k = np.arange(n)
+    signed = np.where(k <= n // 2, k, k - n)
+    gamma = np.exp(-2j * np.pi * signed * shift[..., None] / n)
+    gamma[..., n // 2] = np.cos(np.pi * shift)
+    return gamma
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 4, 8, 64, 256]), shape=st.sampled_from([(), (5,), (8, 181)]),
+       scale=st.floats(1e-6, 0.05), seed=st.integers(0, 2**31 - 1))
+def test_mirrored_delay_spectrum_equals_full_band_formula(n, shape, scale, seed):
+    """Bins above N/2 taken as mirrored conjugates keep every bit of the full-band formula."""
+    tau = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    assert np.array_equal(delay_spectrum(tau, n, 375.0), full_band_delay_spectrum(tau, n, 375.0))
+
+
 def test_fractional_delay_energy_accounting():
     """Allpass at every bin except Nyquist, which attenuates by cos(tau pi fs).
 

@@ -215,14 +215,42 @@ def test_fit_matches_dense_residual_fit(make, order):
     np.testing.assert_allclose(fit.noise_cov, sigma, rtol=1e-10, atol=0)
 
 
-def test_fit_does_not_depend_on_gram_chunk_size(monkeypatch):
-    """Hundreds of row chunks give the one-chunk fit to rounding."""
-    data = NoiseStream(known_var2(), np.random.default_rng(3)).take(5000)
-    whole = fit_var(data, 3)
-    monkeypatch.setattr(noise, "_GRAM_CHUNK_VALUES", 200)
-    chunked = fit_var(data, 3)
-    np.testing.assert_allclose(chunked.coeffs, whole.coeffs, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(chunked.noise_cov, whole.noise_cov, rtol=1e-12, atol=0)
+@pytest.mark.parametrize("p_max", [0, 1, 3, 14, 20])
+@pytest.mark.parametrize("extra", [1, 20_000], ids=["minimum", "long"])
+@pytest.mark.parametrize("lead", ["history", "zeros"])
+def test_lag_gram_equals_explicit_lag_matrix_product(p_max, extra, lead):
+    """The lag-product Gram matrix is z^T z of the explicit `_lag_rows`
+    matrix to 1e-12, for `fit_var`'s layout (its first P samples as history)
+    and `select_order`'s (P zero rows in front), down to the fewest samples."""
+    m = 8
+    t_total = p_max * m + p_max + 1 + extra
+    y = np.random.default_rng(p_max).standard_normal((t_total, m)) + 3.0
+    padded = y if lead == "history" else np.vstack([np.zeros((p_max, m)), y])
+    z = noise._lag_rows(padded, p_max, 0, len(padded) - p_max)
+    want = z.T @ z
+    got = noise._lag_gram(padded, p_max)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+FITS = [lambda y: fit_var(y, 0), lambda y: fit_var(y, 2), lambda y: select_order(y, 3)]
+FIT_IDS = ["fit-order-0", "fit-order-2", "select-order"]
+
+
+@pytest.mark.parametrize("fit", FITS, ids=FIT_IDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_fits_reject_non_finite_data_naming_the_row(fit, bad):
+    data = NoiseStream(known_var2(), np.random.default_rng(4)).take(500)
+    data[137, 2] = bad
+    data[300, 0] = bad
+    with pytest.raises(FitError, match=r"^data row 137 is not finite$"):
+        fit(data)
+
+
+@pytest.mark.parametrize("fit", FITS, ids=FIT_IDS)
+def test_fits_reject_finite_data_whose_lag_products_overflow(fit):
+    data = NoiseStream(known_var2(), np.random.default_rng(5)).take(500) * 1e300
+    with pytest.raises(FitError, match="lag products overflow"):
+        fit(data)
 
 
 def test_select_order_zero_channel_scores_inf_and_picks_zero():
