@@ -20,6 +20,8 @@ _VERSION = 1
 # samples per matrix-vector product in `NoiseStream`; on the 8-channel
 # order-14 generator 16 runs as fast as 32 and keeps the matrix a third the size
 _BLOCK = 16
+# rows per whitening tile: one tracker block of 64 batches of 64 samples
+_TILE = 4096
 
 
 class FitError(ValueError):
@@ -255,8 +257,14 @@ def whiten(model: VarModel, samples: np.ndarray, state: WhitenState | None = Non
     of this block are warm-up (computed against zero-padded history because
     fewer than p samples had been seen). Warm-up rows should be excluded
     from likelihood evaluation.
+
+    The input streams through one staging buffer `_TILE` rows at a time, and
+    each tile forms and solves its residual in its output rows: the output
+    plus about two tiles of memory, and the bits of one pass over all rows.
+    No tile has 1 row unless n does, as numpy and scipy take vector paths
+    for a single row, whose last bits can differ.
     """
-    y = np.asarray(samples, dtype=float)
+    y = np.asarray(samples)
     m = model.n_channels
     if y.ndim != 2 or y.shape[1] != m:
         raise FitError(f"samples must be (n, {m}), got {y.shape}")
@@ -266,14 +274,26 @@ def whiten(model: VarModel, samples: np.ndarray, state: WhitenState | None = Non
     if state.history.shape != (p, m):
         raise FitError("whiten state does not match the model")
     n = y.shape[0]
-    ext = np.vstack([state.history, y]) if p else y
-    resid = y.copy()
-    for i in range(1, p + 1):
-        resid -= ext[p - i:p - i + n] @ model.coeffs[i - 1].T
-    white = solve_triangular(model.noise_chol(), resid.T, lower=True).T
-    new_hist = ext[n:] if p else state.history
+    chol = model.noise_chol()
+    white = np.empty((n, m))
+    stage = np.empty((p + min(n, _TILE), m))  # [p samples before the tile; the tile]
+    stage[:p] = state.history
+    prod = np.empty((min(n, _TILE), m))
+    cuts = [*range(0, n, _TILE), n]
+    if n > 1 and n % _TILE == 1:
+        cuts[-2] -= 1
+    for lo, hi in zip(cuts, cuts[1:]):
+        k = hi - lo
+        stage[p:p + k] = y[lo:hi]
+        resid = white[lo:hi]
+        resid[:] = stage[p:p + k]
+        for i in range(1, p + 1):
+            resid -= np.matmul(stage[p - i:p - i + k], model.coeffs[i - 1].T, out=prod[:k])
+        # in place where scipy can, so no tile-sized copy
+        resid[:] = solve_triangular(chol, resid.T, lower=True, overwrite_b=True).T
+        stage[:p] = stage[k:k + p]
     warmup = int(min(max(p - state.seen, 0), n))
-    return white, WhitenState(np.ascontiguousarray(new_hist), state.seen + n), warmup
+    return white, WhitenState(stage[:p].copy(), state.seen + n), warmup
 
 
 class NoiseStream:

@@ -1,11 +1,13 @@
 """VAR fitting, whitening, simulation, and the binary model format."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from sonartkbd import noise
 from sonartkbd.config import default_config
@@ -106,7 +108,13 @@ def test_whitened_noise_is_white():
 @settings(max_examples=40, deadline=None)
 @given(cuts=st.lists(st.integers(0, 1000), max_size=6))
 def test_chunked_whitening_matches_whole(cuts):
-    """Whitening in any chunking, empty chunks included, equals one call."""
+    """Whitening in any chunking, empty chunks included, equals one call.
+
+    Bit for bit when every chunk has 2 or more rows. A 1-row chunk meets its
+    lag products through numpy's vector-matrix path and its solve through a
+    single right-hand side, whose last bits can differ, so it only has to
+    agree to 1e-12.
+    """
     model = known_var2()
     data = NoiseStream(model, np.random.default_rng(5)).take(1000)
     whole, _, _ = whiten(model, data)
@@ -117,7 +125,91 @@ def test_chunked_whitening_matches_whole(cuts):
             continue
         out, state, _ = whiten(model, chunk, state)
         parts.append(out)
-    np.testing.assert_allclose(np.vstack(parts), whole, atol=1e-12)
+    if min(len(part) for part in parts) >= 2:
+        assert np.array_equal(np.vstack(parts), whole)
+    else:
+        np.testing.assert_allclose(np.vstack(parts), whole, atol=1e-12)
+
+
+def whiten_in_one_product(model, y, state):
+    """Whitening as one lag product per lag over the whole input, stacked
+    behind the history, and one triangular solve."""
+    p, n = model.order, y.shape[0]
+    ext = np.vstack([state.history, y]) if p else y
+    resid = y.copy()
+    for i in range(1, p + 1):
+        resid -= ext[p - i:p - i + n] @ model.coeffs[i - 1].T
+    white = solve_triangular(model.noise_chol(), resid.T, lower=True).T
+    new_hist = ext[n:] if p else state.history
+    return white, new_hist, state.seen + n, int(min(max(p - state.seen, 0), n))
+
+
+def random_var(order, m=8, seed=0):
+    rng = np.random.default_rng(seed)
+    mix = np.eye(m) + 0.2 * rng.standard_normal((m, m))
+    return VarModel(0.02 * rng.standard_normal((order, m, m)), mix @ mix.T)
+
+
+T = noise._TILE
+
+
+@pytest.mark.parametrize("carried", [False, True])
+@pytest.mark.parametrize("n", [1, T - 1, T, T + 1, T + 2, 2 * T + 2880])
+@pytest.mark.parametrize("order", [0, 2, 14])
+def test_tiled_whitening_equals_one_product(order, n, carried):
+    """Tiles, including a tail that would have 1 row, change no bits."""
+    model = random_var(order, seed=order)
+    rng = np.random.default_rng(n)
+    state = (WhitenState(rng.standard_normal((order, 8)), 5) if carried
+             else WhitenState.fresh(model))
+    y = rng.standard_normal((n, 8))
+    white, new_state, warmup = whiten(model, y, state)
+    want, history, seen, want_warmup = whiten_in_one_product(model, y, state)
+    assert np.array_equal(white, want)
+    assert np.array_equal(new_state.history, history)
+    assert new_state.seen == seen and warmup == want_warmup
+
+
+def test_whitening_memory_is_the_output_and_a_few_tiles():
+    """A bulk call's peak is the output and a few tiles, and the state it
+    returns owns its history instead of pinning a copy of the input."""
+    model = random_var(14)
+    y = np.random.default_rng(1).standard_normal((76608, 8))
+    state = WhitenState(np.ones((14, 8)), 3)
+    tracemalloc.start()
+    try:
+        white, new_state, _ = whiten(model, y, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * white.nbytes
+    assert new_state.history.base is None
+    for other in (y, white, state.history):
+        assert not np.shares_memory(new_state.history, other)
+
+
+def test_whitening_widens_float32_input_exactly():
+    model = random_var(14)
+    y = np.random.default_rng(3).standard_normal((T + 9, 8)).astype(np.float32)
+    white, state, _ = whiten(model, y)
+    want, history, _, _ = whiten_in_one_product(model, y.astype(float), WhitenState.fresh(model))
+    assert np.array_equal(white, want) and np.array_equal(state.history, history)
+
+
+def test_whitening_nothing_keeps_the_history():
+    model = random_var(2)
+    state = WhitenState(np.arange(16.0).reshape(2, 8), 7)
+    white, new_state, warmup = whiten(model, np.zeros((0, 8)), state)
+    assert white.shape == (0, 8) and warmup == 0
+    assert np.array_equal(new_state.history, state.history) and new_state.seen == 7
+
+
+def test_whitening_rejects_nan_in_a_late_tile():
+    model = random_var(2)
+    y = np.random.default_rng(2).standard_normal((3 * T, 8))
+    y[2 * T + 5, 3] = np.nan
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        whiten(model, y)
 
 
 def test_whiten_warmup_counts():
