@@ -107,6 +107,15 @@ def cfar_detections(energies: np.ndarray, cfg: PipelineConfig,
     it. Raises if the CFAR window (2 (guard + train) + 1 cells) is wider
     than the bearing grid.
     """
+    return cfar_detections_from(energies, 0, cfg, bearings_deg)
+
+
+def cfar_detections_from(record: np.ndarray, first: int, cfg: PipelineConfig,
+                         bearings_deg: np.ndarray) -> list[np.ndarray]:
+    """`cfar_detections` of rows first.. of `record`; the rows before `first`
+    are only trained on, so a record can be detected in consecutive pieces
+    that each carry the last `cfg.cfar_train_rows` rows of the piece before.
+    """
     bearings_deg = np.asarray(bearings_deg, dtype=float)
     window = _window_kernel(cfg).size
     if window > bearings_deg.size:
@@ -114,8 +123,8 @@ def cfar_detections(energies: np.ndarray, cfg: PipelineConfig,
             f"CFAR window of {window} cells (2*(guard+train)+1) is wider than "
             f"the {bearings_deg.size}-cell bearing grid")
     out = []
-    for k, row in enumerate(energies):
-        idx, _ = cfar_detect(row, energies[max(0, k - cfg.cfar_train_rows):k], cfg)
+    for k in range(first, len(record)):
+        idx, _ = cfar_detect(record[k], record[max(0, k - cfg.cfar_train_rows):k], cfg)
         out.append(bearings_deg[idx])
     return out
 

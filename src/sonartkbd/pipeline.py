@@ -30,7 +30,7 @@ import numpy as np
 
 from .array import BeamformGrid
 from .config import PipelineConfig
-from .detect import cfar_detections, detection_log_lr
+from .detect import cfar_detections_from, detection_log_lr
 from .noise import VarModel, WhitenState, whiten
 from .sim import Dataset
 from .stats import gauss_log_lr, t_log_lr
@@ -43,6 +43,11 @@ VARIANTS = ("tvar", "tvar0", "gvar", "cfar")
 # tables hold one block at a time, so a pass's memory does not grow with
 # the recording.
 _BLOCK = 64
+# Batches per ln L table and birth-CDF array within a block. An
+# (8, 181, 11) float64 table is about 127 KB, under glibc's 128 KiB mmap
+# threshold, so its temporaries come from the heap rather than from fresh
+# page-faulting mappings.
+_TABLE_BLOCK = 8
 
 
 def spawn_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -144,7 +149,8 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
     Each batch's ratio is one `LikelihoodField` over the beamformer's
     bearings and the SNR grid. The energy variants apply the t or Gaussian
     ratio to the batch's beamformed energies interpolated at `psi_deg`;
-    `cfar` scores the batch's CFAR detections and ignores the SNR. A
+    `cfar` scores the batch's CFAR detections on the raw energies and
+    ignores the SNR and any model it is given. A
     batch's entry is None while the whitener is warming up, and the filter
     then only predicts. The checks on `variant` and `model` run at the
     call; the fields come from a generator that builds one block of
@@ -161,8 +167,11 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
 
 def _pass_fields(variant: str, dataset: Dataset, cfg: PipelineConfig,
                  model: VarModel | None) -> Iterator[LikelihoodField | None]:
-    """`make_likelihood`'s fields. Each block's ln L grid table comes from one
-    ratio call and lives only while one `birth_cdfs` call turns it into CDFs."""
+    """`make_likelihood`'s fields. Each block is whitened and beamformed in one
+    call, and `cfar` detects on the block's rows alone, which train on the
+    record's last `cfar_train_rows` rows before them as well. The block's
+    ln L grid tables come `_TABLE_BLOCK` batches at a time from one ratio
+    call each and live only while one `birth_cdfs` call turns them into CDFs."""
     grid = bearing_beamformer(dataset, cfg)
     bearings = grid.bearings_deg
     eta_grid = np.arange(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db + 1e-9,
@@ -174,32 +183,40 @@ def _pass_fields(variant: str, dataset: Dataset, cfg: PipelineConfig,
         eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
         return gauss_log_lr(energy, eta, n, m) if gaussian else t_log_lr(energy, z2, eta, nu, n, m)
 
-    if variant == "cfar":
-        detections = cfar_detections(beam_energies(dataset, grid)[0], cfg, bearings)
     k = dataset.n_batches
+    tail = np.empty((0, bearings.size))  # the CFAR training rows before the block
     for lo in range(0, k, _BLOCK):
         hi = min(lo + _BLOCK, k)
+        energies, z_norm_sq, warmup = _block_energies(
+            dataset, grid, None if variant == "cfar" else model, lo, hi)
         if variant == "cfar":
-            found, warmup = detections[lo:hi], 0
-            # +inf pads the shorter detection sets; it adds exactly zero to the sum
-            padded = np.full((max(map(len, found)), hi - lo, 1), np.inf)
-            for i, dets in enumerate(found):
-                padded[:dets.size, i, 0] = dets
-            cdfs = birth_cdfs(np.broadcast_to(detection_log_lr(padded, bearings, cfg)[:, :, None],
-                                              (hi - lo, bearings.size, eta_grid.size)))
+            record = np.concatenate([tail, energies])
+            found = cfar_detections_from(record, len(tail), cfg, bearings)
+            tail = record[max(len(record) - cfg.cfar_train_rows, 0):]
             ratios = [lambda psi_deg, eta_db, dets=dets: detection_log_lr(dets, psi_deg, cfg)
                       for dets in found]
         else:
-            energies, z_norm_sq, warmup = _block_energies(dataset, grid, model, lo, hi)
             energies, z_norm_sq = energies[warmup:], z_norm_sq[warmup:]
             slopes = np.diff(energies, axis=1) / np.diff(bearings)
-            cdfs = birth_cdfs(ratio(energies[:, :, None], z_norm_sq[:, None, None], eta_grid))
             ratios = [lambda psi_deg, eta_db, row=row, row_slopes=row_slopes, z2=float(z2):
                           ratio(uniform_interp(psi_deg, bearings, row, row_slopes), z2, eta_db)
                       for row, row_slopes, z2 in zip(energies, slopes, z_norm_sq)]
         yield from [None] * warmup
-        for loglr, cdf in zip(ratios, cdfs):
-            yield LikelihoodField(bearings, eta_grid, loglr, cdf)
+        for sub in range(0, len(ratios), _TABLE_BLOCK):
+            end = sub + _TABLE_BLOCK
+            if variant == "cfar":
+                sets = found[sub:end]
+                # +inf pads the shorter detection sets; it adds exactly zero to the sum
+                padded = np.full((max(map(len, sets)), len(sets), 1), np.inf)
+                for i, dets in enumerate(sets):
+                    padded[:dets.size, i, 0] = dets
+                table = np.broadcast_to(detection_log_lr(padded, bearings, cfg)[:, :, None],
+                                        (len(sets), bearings.size, eta_grid.size))
+            else:
+                table = ratio(energies[sub:end, :, None], z_norm_sq[sub:end, None, None],
+                              eta_grid)
+            for loglr, cdf in zip(ratios[sub:end], birth_cdfs(table)):
+                yield LikelihoodField(bearings, eta_grid, loglr, cdf)
 
 
 def run_tracker(dataset: Dataset, variant: str, cfg: PipelineConfig,

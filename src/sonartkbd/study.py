@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .array import ArrayGeometry, apply_steering, make_steering
+from .array import ArrayGeometry, delay_spectrum, steering_delays
 from .config import PipelineConfig
 from .evaluate import RunReport, make_run_report, median_detection_eta
 from .noise import NoiseStream, VarModel, fit_var
@@ -55,7 +55,9 @@ def synth_sea_recording(geom: ArrayGeometry, duration_s: float,
     A coloured spatially white floor (AR(2) per channel) is overlaid with
     two broadband directional interferers (AR(1)-coloured sources steered
     across the array), giving the bearing-time record diffuse directional
-    lumps rather than point tracks.
+    lumps rather than point tracks. Each source takes one forward FFT and
+    is steered onto one channel at a time, so the transient memory is a few
+    source-length arrays on top of the output.
     """
     n = int(duration_s * geom.sample_rate)
     n -= n % 2  # steering needs an even length
@@ -65,13 +67,13 @@ def synth_sea_recording(geom: ArrayGeometry, duration_s: float,
     floor_den = [1.0, -2.0 * r * np.cos(theta), r * r]
     floor = _all_pole(floor_den, rng.standard_normal((n, m)))
     floor /= floor.std(axis=0, keepdims=True)
-    out = floor
     for bearing, level, pole in ((-35.0, 0.55, 0.85), (22.0, 0.4, 0.6)):
         src = _all_pole([1.0, -pole], rng.standard_normal(n))
         src *= level / src.std()
-        op = make_steering(geom, bearing, n)
-        out = out + apply_steering(op, src)
-    return out
+        spec = np.fft.fft(src)
+        for ch, tau in enumerate(steering_delays(geom, bearing)):
+            floor[:, ch] += np.fft.ifft(delay_spectrum(tau, n, geom.sample_rate) * spec).real
+    return floor
 
 
 def _all_pole(den: list[float], x: np.ndarray) -> np.ndarray:

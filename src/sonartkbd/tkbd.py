@@ -91,11 +91,13 @@ def birth_cdfs(grids: np.ndarray) -> np.ndarray:
     gives each grid's CDF bit for bit.
     """
     flat = grids.reshape(grids.shape[:-2] + (grids.shape[-2] * grids.shape[-1],))
-    probs = np.exp(flat - flat.max(axis=-1, keepdims=True))
+    probs = flat - flat.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
     total = probs.sum(axis=-1, keepdims=True)
     ok = np.isfinite(total) & (total > 0)
-    probs = np.divide(probs, total, out=np.full_like(probs, 1.0 / flat.shape[-1]), where=ok)
-    cdf = np.cumsum(probs, axis=-1)
+    np.divide(probs, total, out=probs, where=ok)
+    probs[~ok[..., 0]] = 1.0 / flat.shape[-1]
+    cdf = np.cumsum(probs, axis=-1, out=probs)
     cdf /= cdf[..., -1:]
     return cdf
 

@@ -11,7 +11,7 @@ from scipy.stats import norm
 
 from sonartkbd.config import ConfigError, default_config
 from sonartkbd.detect import (_window_kernel, _z_quantile, cfar_detect, cfar_detections,
-                              detection_log_lr)
+                              cfar_detections_from, detection_log_lr)
 
 
 def cfar_params(**kw):
@@ -132,6 +132,25 @@ def test_cfar_detections_train_on_the_rows_before(train_rows):
         idx, _ = cfar_detect(row, np.array(window) if window else None, params)
         window.append(row)
         np.testing.assert_array_equal(found[k], bearings[idx])
+
+
+@pytest.mark.parametrize("train_rows", [0, 1, 3])
+def test_cfar_detections_from_a_row_train_on_the_rows_before_it(train_rows):
+    """Detecting rows first.. of a record, or the record in pieces that each
+    carry the last `train_rows` rows before them, gives the whole record's
+    detections of those rows, bit for bit."""
+    params = cfar_params(guard_cells=1, train_cells=3, train_rows=train_rows, alpha=0.05)
+    energies = np.random.default_rng(6).gamma(2.0, 1.0, size=(12, 30))
+    bearings = np.linspace(-90.0, 90.0, 30)
+    whole = cfar_detections(energies, params, bearings)
+    pieces = []
+    for lo in range(0, 12, 5):
+        first = max(lo - train_rows, 0)
+        pieces += cfar_detections_from(energies[first:lo + 5], lo - first, params, bearings)
+    assert len(pieces) == 12 and sum(map(len, whole)) > 0
+    for got, want in zip(pieces, whole):
+        np.testing.assert_array_equal(got, want)
+    assert cfar_detections_from(energies, 12, params, bearings) == []
 
 
 def test_window_wider_than_grid_is_rejected():

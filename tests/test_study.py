@@ -2,6 +2,7 @@
 and `calibrated_study` is exactly the calibrate-then-study protocol."""
 
 import importlib.util
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from scipy.signal import lfilter
 
 from sonartkbd import study
+from sonartkbd.array import ArrayGeometry, make_steering
 from sonartkbd.config import default_config
 from sonartkbd.pipeline import VARIANTS, TrackLog
 from sonartkbd.study import (calibrate_variant, calibrated_study, default_ambient_model,
@@ -99,6 +101,48 @@ def test_all_pole_filter_matches_lfilter(den, shape):
     got = study._all_pole(den, x)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def whole_array_sea_recording(geom, duration_s, rng):
+    """`synth_sea_recording` as it steered each source through whole (M, N)
+    arrays: one `make_steering` operator and the FFT pair of `apply_steering`."""
+    n = int(duration_s * geom.sample_rate)
+    n -= n % 2
+    r, theta = 0.7, np.deg2rad(55.0)
+    floor = study._all_pole([1.0, -2.0 * r * np.cos(theta), r * r],
+                            rng.standard_normal((n, geom.n_channels)))
+    floor /= floor.std(axis=0, keepdims=True)
+    out = floor
+    for bearing, level, pole in ((-35.0, 0.55, 0.85), (22.0, 0.4, 0.6)):
+        src = study._all_pole([1.0, -pole], rng.standard_normal(n))
+        src *= level / src.std()
+        op = make_steering(geom, bearing, n)
+        out = out + np.fft.ifft(op * np.fft.fft(src), axis=1).real.T
+    return out
+
+
+@pytest.mark.parametrize("elements", [8, 4])
+@pytest.mark.parametrize("duration_s", [20.0, 60.0])
+def test_sea_recording_steered_per_channel_equals_whole_array_steering(elements, duration_s):
+    geom = ArrayGeometry.ula(elements, 0.93, 1500.0, 375.0)
+    got = study.synth_sea_recording(geom, duration_s, np.random.default_rng(elements))
+    want = whole_array_sea_recording(geom, duration_s, np.random.default_rng(elements))
+    assert got.shape == want.shape == (int(duration_s * 375.0), elements)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("duration_s", [20.0, study.AMBIENT_SECONDS])
+def test_sea_recording_memory_is_a_few_outputs(duration_s):
+    """On the study array the traced peak stays within 4x the recording's
+    bytes; steering through whole (M, N) arrays read 8.4x."""
+    geom = default_geometry(default_config("sim"))
+    tracemalloc.start()
+    try:
+        rec = study.synth_sea_recording(geom, duration_s, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * rec.nbytes, peak / rec.nbytes
 
 
 def test_calibration_refuses_no_datasets():

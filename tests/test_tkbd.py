@@ -283,6 +283,42 @@ def test_birth_cells_match_generator_choice(loglr):
     np.testing.assert_array_equal(np.ravel_multi_index((pi, ei), field.grid.shape), want)
 
 
+def masked_divide_cdfs(grids):
+    """`birth_cdfs` as it normalised every row through one masked divide."""
+    flat = grids.reshape(grids.shape[:-2] + (grids.shape[-2] * grids.shape[-1],))
+    probs = np.exp(flat - flat.max(axis=-1, keepdims=True))
+    total = probs.sum(axis=-1, keepdims=True)
+    ok = np.isfinite(total) & (total > 0)
+    probs = np.divide(probs, total, out=np.full_like(probs, 1.0 / flat.shape[-1]), where=ok)
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def test_birth_cdfs_equal_the_masked_divide_on_mixed_stacks():
+    """Stacks that mix normal grids with all -inf, +inf and NaN-bearing ones give
+    the masked divide's CDFs bit for bit: the fallback grids come out uniform and
+    the normal ones do not depend on what else is in the stack."""
+    rng = np.random.default_rng(21)
+    grids = rng.normal(0.0, 5.0, (9, 181, 11))
+    grids[2] = -np.inf
+    grids[5, 17, 3] = np.nan
+    grids[6, 40, 0] = np.inf
+    grids[7] = np.nan
+    normal = [0, 1, 3, 4, 8]
+    with np.errstate(invalid="ignore"):
+        want = masked_divide_cdfs(grids)
+        got = birth_cdfs(grids)
+        got_normal = birth_cdfs(grids[normal])
+        got_single = birth_cdfs(grids[2])
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_normal, want[normal])
+    np.testing.assert_array_equal(got_single, want[2])
+    uniform = np.cumsum(np.full(grids[0].size, 1.0 / grids[0].size))
+    for i in (2, 5, 6, 7):
+        np.testing.assert_array_equal(got[i], uniform / uniform[-1])
+
+
 def test_likelihood_field_rejects_a_grid_of_the_wrong_shape():
     field = LikelihoodField(np.arange(5.0), np.arange(3.0), lambda psi, eta: np.zeros((3, 5)),
                             None)
