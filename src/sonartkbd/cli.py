@@ -28,7 +28,7 @@ from .config import ConfigError, default_config, load_config, save_config
 from .detect import cfar_detections
 from .evaluate import AGGREGATE_QUANTILES, aggregate_quantiles, make_run_report
 from .noise import fit_var, load_var, save_var, select_order
-from .pipeline import (VARIANTS, beam_energies, bearing_beamformer, load_track_log,
+from .pipeline import (VARIANT_TABLE, beam_energies, bearing_beamformer, load_track_log,
                        run_tracker, save_detections, save_track_log, spawn_rng)
 from .sim import generate_dataset, load_dataset, save_dataset
 from .study import (SEED_SIMULATE, SEED_TRACK, VAR_ORDER, calibrate_variant,
@@ -37,6 +37,13 @@ from .study import (SEED_SIMULATE, SEED_TRACK, VAR_ORDER, calibrate_variant,
 
 def _load_cfg(args):
     return load_config(args.config) if args.config else default_config(args.profile)
+
+
+def _load_model(args):
+    """The `--model` of `--variant`, checked for before the dataset is read."""
+    if not args.model and VARIANT_TABLE[args.variant].model is not None:
+        raise ValueError(f"variant {args.variant} needs --model")
+    return load_var(args.model) if args.model else None
 
 
 def cmd_simulate(args) -> int:
@@ -81,10 +88,8 @@ def cmd_fit_noise(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _load_cfg(args)
+    model = _load_model(args)
     ds = load_dataset(args.data)
-    model = load_var(args.model) if args.model else None
-    if args.variant != "cfar" and model is None:
-        raise ValueError(f"variant {args.variant} needs --model")
     rng = spawn_rng(args.seed, SEED_TRACK, args.run_index)
     track = run_tracker(ds, args.variant, cfg, model, rng)
     save_track_log(track, args.out)
@@ -128,17 +133,14 @@ def cmd_eval(args) -> int:
 
 def cmd_calibrate_prior(args) -> int:
     cfg = _load_cfg(args)
+    model = _load_model(args)
     ds = load_dataset(args.data)
-    model = load_var(args.model) if args.model else None
-    model0 = load_var(args.model0) if args.model0 else model
-    if args.variant != "cfar" and model is None:
-        raise ValueError(f"variant {args.variant} needs --model")
-    result = calibrate_variant(args.variant, cfg, [ds], model, model0,
+    result = calibrate_variant(args.variant, cfg, [ds], model, model,
                                args.seed, step_db=args.step_db,
                                margin_steps=args.margin_steps)
     for setting, dirty in result.trace:
         print(f"  setting {setting:+.2f}: {dirty} false track(s)")
-    if args.variant == "cfar":
+    if VARIANT_TABLE[args.variant].ratio == "detections":
         print(f"calibrated clutter rate lambda = {result.setting:.6g}")
     else:
         lo, hi = result.config.filter_snr_lo_db, result.config.filter_snr_hi_db
@@ -187,12 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, seed=True, run_index=True):
         p.add_argument("--config", help="INI config file (strict schema)")
         p.add_argument("--profile", default="sim", choices=("real", "sim"),
                        help="default profile when --config is omitted")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="master seed")
+        if seed and run_index:
             p.add_argument("--run-index", type=int, default=0,
                            help="run index inside the seed-splitting scheme")
 
@@ -218,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="run a tracker variant")
     common(p)
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--variant", required=True, choices=VARIANTS)
-    p.add_argument("--model", help="VAR model file (energy variants)")
+    p.add_argument("--variant", required=True, choices=VARIANT_TABLE)
+    p.add_argument("--model", help="VAR model file the variant whitens with")
     p.add_argument("--out", required=True, help="output track log CSV")
     p.set_defaults(fn=cmd_track)
 
@@ -232,11 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("calibrate-prior", help="sweep sensitivity on target-free data")
-    common(p)
+    common(p, run_index=False)
     p.add_argument("--data", required=True, help="target-free dataset directory")
-    p.add_argument("--variant", required=True, choices=VARIANTS)
-    p.add_argument("--model", help="VAR model file (energy variants)")
-    p.add_argument("--model0", help="order-0 model file (tvar0)")
+    p.add_argument("--variant", required=True, choices=VARIANT_TABLE)
+    p.add_argument("--model", help="VAR model file the variant whitens with")
     p.add_argument("--step-db", type=float, default=2.0, help="sweep granularity")
     p.add_argument("--margin-steps", type=int, default=1,
                    help="extra back-off steps beyond the first clean setting")

@@ -99,22 +99,14 @@ def _suppress_runs(row: np.ndarray, fired: np.ndarray) -> np.ndarray:
     return np.asarray(keep, dtype=int)
 
 
-def cfar_detections(energies: np.ndarray, cfg: PipelineConfig,
-                    bearings_deg: np.ndarray) -> list[np.ndarray]:
-    """Detected bearings of every row of a (K, G) bearing-time record.
+def cfar_detections(record: np.ndarray, cfg: PipelineConfig, bearings_deg: np.ndarray,
+                    first: int = 0) -> list[np.ndarray]:
+    """Detected bearings of rows first.. of a (K, G) bearing-time record.
 
     Row k trains on itself and the up to `cfg.cfar_train_rows` rows before
-    it. Raises if the CFAR window (2 (guard + train) + 1 cells) is wider
-    than the bearing grid.
-    """
-    return cfar_detections_from(energies, 0, cfg, bearings_deg)
-
-
-def cfar_detections_from(record: np.ndarray, first: int, cfg: PipelineConfig,
-                         bearings_deg: np.ndarray) -> list[np.ndarray]:
-    """`cfar_detections` of rows first.. of `record`; the rows before `first`
-    are only trained on, so a record can be detected in consecutive pieces
-    that each carry the last `cfg.cfar_train_rows` rows of the piece before.
+    it, those before `first` too, so pieces of a record that each carry the
+    previous piece's training rows detect as the whole record does. Raises
+    if the CFAR window (2 (guard + train) + 1 cells) is wider than the grid.
     """
     bearings_deg = np.asarray(bearings_deg, dtype=float)
     window = _window_kernel(cfg).size

@@ -1,12 +1,8 @@
 """Tracker pipelines: one measurement front end wired to the Bernoulli filter.
 
-Four variants share the identical filter and differ only in how a raw
-batch becomes a likelihood ratio:
-
-    tvar   t-model ratio on a VAR(p)-whitened batch
-    tvar0  t-model ratio on a spatially whitened batch (order-0 model)
-    gvar   Gaussian ratio on a VAR(p)-whitened batch
-    cfar   detection-based ratio from a CFAR front end on the raw record
+The tracker variants share the identical filter and differ only in how a
+raw batch becomes a likelihood ratio: `VARIANT_TABLE` gives each one's
+ratio and the noise model it whitens with, and nothing else names a variant.
 
 `beam_energies` whitens a dataset's stream and beamforms its batches over
 the `bearing_beamformer` grid; `sonartkbd btr` and `sonartkbd detect` read
@@ -23,6 +19,7 @@ for bit. The array, batch length N and period N / fs come from the dataset.
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -30,14 +27,24 @@ import numpy as np
 
 from .array import BeamformGrid
 from .config import PipelineConfig
-from .detect import cfar_detections_from, detection_log_lr
+from .detect import cfar_detections, detection_log_lr
 from .noise import VarModel, WhitenState, whiten
 from .sim import Dataset
 from .stats import gauss_log_lr, t_log_lr
 from .tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, PSIDOT, BernoulliBelief,
                    LikelihoodField, birth_cdfs, extract, predict, update)
 
-VARIANTS = ("tvar", "tvar0", "gvar", "cfar")
+# Each variant's ratio ("t", "gauss", or CFAR "detections" on raw energies) and
+# the model it whitens with: the fitted "var" model, its "order0" fit or None.
+# The ratio sets calibration's knob: clutter rate for detections, else SNR window.
+Variant = namedtuple("Variant", "ratio model")
+VARIANT_TABLE = {
+    "tvar": Variant("t", "var"),
+    "tvar0": Variant("t", "order0"),
+    "gvar": Variant("gauss", "var"),
+    "cfar": Variant("detections", None),
+}
+VARIANTS = tuple(VARIANT_TABLE)  # in this order: VARIANTS.index fixes each study seed lane
 
 # Batches per block of a tracker pass. The front end and the likelihood
 # tables hold one block at a time, so a pass's memory does not grow with
@@ -147,29 +154,30 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
     """The log likelihood ratio ln L(psi_deg, eta_db) of each batch of `dataset`, in order.
 
     Each batch's ratio is one `LikelihoodField` over the beamformer's
-    bearings and the SNR grid. The energy variants apply the t or Gaussian
-    ratio to the batch's beamformed energies interpolated at `psi_deg`;
-    `cfar` scores the batch's CFAR detections on the raw energies and
-    ignores the SNR and any model it is given. A
+    bearings and the SNR grid. The t and Gaussian ratios read the batch's
+    beamformed energies interpolated at `psi_deg`; the detection ratio
+    scores the batch's CFAR detections on the raw energies and ignores the
+    SNR. A variant that whitens nothing drops any model it is given. A
     batch's entry is None while the whitener is warming up, and the filter
     then only predicts. The checks on `variant` and `model` run at the
     call; the fields come from a generator that builds one block of
     `_BLOCK` batches at a time and holds only that block.
     """
-    if variant not in VARIANTS:
+    spec = VARIANT_TABLE.get(variant)
+    if spec is None:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if variant != "cfar" and model is None:
+    if spec.model and model is None:
         raise ValueError(f"variant {variant!r} needs a noise model")
-    if variant == "tvar0" and model.order != 0:
-        raise ValueError("tvar0 expects an order-0 noise model")
-    return _pass_fields(variant, dataset, cfg, model)
+    if spec.model == "order0" and model.order != 0:
+        raise ValueError(f"{variant} expects an order-0 noise model")
+    return _pass_fields(spec.ratio, dataset, cfg, model if spec.model else None)
 
 
-def _pass_fields(variant: str, dataset: Dataset, cfg: PipelineConfig,
+def _pass_fields(kind: str, dataset: Dataset, cfg: PipelineConfig,
                  model: VarModel | None) -> Iterator[LikelihoodField | None]:
-    """`make_likelihood`'s fields. Each block is whitened and beamformed in one
-    call, and `cfar` detects on the block's rows alone, which train on the
-    record's last `cfar_train_rows` rows before them as well. The block's
+    """`make_likelihood`'s fields for the ratio `kind`. Each block is whitened
+    and beamformed in one call; detections come from its rows alone, which
+    also train on the record's last `cfar_train_rows` rows before them. Its
     ln L grid tables come `_TABLE_BLOCK` batches at a time from one ratio
     call each and live only while one `birth_cdfs` call turns them into CDFs."""
     grid = bearing_beamformer(dataset, cfg)
@@ -177,7 +185,7 @@ def _pass_fields(variant: str, dataset: Dataset, cfg: PipelineConfig,
     eta_grid = np.arange(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db + 1e-9,
                          cfg.filter_eta_step_db)
     nu, n, m = cfg.tmodel_dof, dataset.n_per_batch, dataset.geometry.n_channels
-    gaussian = variant == "gvar"
+    detections, gaussian = kind == "detections", kind == "gauss"
 
     def ratio(energy, z2, eta_db):
         eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
@@ -187,11 +195,10 @@ def _pass_fields(variant: str, dataset: Dataset, cfg: PipelineConfig,
     tail = np.empty((0, bearings.size))  # the CFAR training rows before the block
     for lo in range(0, k, _BLOCK):
         hi = min(lo + _BLOCK, k)
-        energies, z_norm_sq, warmup = _block_energies(
-            dataset, grid, None if variant == "cfar" else model, lo, hi)
-        if variant == "cfar":
+        energies, z_norm_sq, warmup = _block_energies(dataset, grid, model, lo, hi)
+        if detections:
             record = np.concatenate([tail, energies])
-            found = cfar_detections_from(record, len(tail), cfg, bearings)
+            found = cfar_detections(record, cfg, bearings, first=len(tail))
             tail = record[max(len(record) - cfg.cfar_train_rows, 0):]
             ratios = [lambda psi_deg, eta_db, dets=dets: detection_log_lr(dets, psi_deg, cfg)
                       for dets in found]
@@ -204,7 +211,7 @@ def _pass_fields(variant: str, dataset: Dataset, cfg: PipelineConfig,
         yield from [None] * warmup
         for sub in range(0, len(ratios), _TABLE_BLOCK):
             end = sub + _TABLE_BLOCK
-            if variant == "cfar":
+            if detections:
                 sets = found[sub:end]
                 # +inf pads the shorter detection sets; it adds exactly zero to the sum
                 padded = np.full((max(map(len, sets)), len(sets), 1), np.inf)
@@ -263,9 +270,9 @@ def save_track_log(track: TrackLog, path) -> None:
 def load_track_log(path) -> TrackLog:
     """Read a track log written by `save_track_log`.
 
-    Every row must hold one number per column, every value finite, q in
-    [0, 1] and `confirmed` 0 or 1; the ValueError otherwise names the file
-    and the first bad data row.
+    Every row must hold one number per column, every value finite, data row
+    i (from 0) `batch_index` i, q in [0, 1] and `confirmed` 0 or 1; the
+    ValueError otherwise names the file and the first bad data row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -286,11 +293,12 @@ def load_track_log(path) -> TrackLog:
             raise ValueError(f"{path}: data row {i + 1} ({','.join(row)}) needs {width} numbers")
         arr[i] = values
     q, confirmed = arr[:, 2], arr[:, 6]
-    bad = ~np.isfinite(arr).all(axis=1) | (q < 0) | (q > 1) | ~np.isin(confirmed, (0, 1))
+    bad = (~np.isfinite(arr).all(axis=1) | (arr[:, 0] != np.arange(len(rows)))
+           | (q < 0) | (q > 1) | ~np.isin(confirmed, (0, 1)))
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"{path}: data row {i + 1} ({','.join(rows[i])}) needs finite "
-                         f"values, q in [0, 1] and confirmed 0 or 1")
+                         f"values, batch_index {i}, q in [0, 1] and confirmed 0 or 1")
     return TrackLog(arr[:, 0].astype(int), arr[:, 1], arr[:, 2], arr[:, 3],
                     arr[:, 4], arr[:, 5], arr[:, 6].astype(bool))
 

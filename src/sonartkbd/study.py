@@ -22,7 +22,7 @@ from .array import ArrayGeometry, delay_spectrum, steering_delays
 from .config import PipelineConfig
 from .evaluate import RunReport, make_run_report, median_detection_eta
 from .noise import NoiseStream, VarModel, fit_var
-from .pipeline import VARIANTS, TrackLog, run_tracker, spawn_rng
+from .pipeline import VARIANT_TABLE, VARIANTS, TrackLog, run_tracker, spawn_rng
 from .sim import (Dataset, Scenario, channel_noise_power, generate_dataset,
                   simulate_batches)
 
@@ -128,10 +128,8 @@ def fit_observed_models(scenario: Scenario, master_seed: int) -> tuple[VarModel,
     return model, model0
 
 
-def models_for_variant(variant: str, model: VarModel, model0: VarModel) -> VarModel | None:
-    if variant == "cfar":
-        return None
-    return model0 if variant == "tvar0" else model
+def models_for_variant(variant: str, model: VarModel, model0: VarModel) -> VarModel:
+    return model0 if VARIANT_TABLE[variant].model == "order0" else model
 
 
 @dataclass
@@ -219,7 +217,7 @@ def _confirms(args) -> bool:
 
 def _calibration_candidate(variant: str, cfg: PipelineConfig,
                            backoff_db: float) -> tuple[float, PipelineConfig]:
-    if variant == "cfar":
+    if VARIANT_TABLE[variant].ratio == "detections":
         setting = cfg.clutter_rate * 10.0 ** (0.1 * backoff_db)
         return setting, replace(cfg, clutter_rate=setting)
     setting = cfg.filter_snr_lo_db + backoff_db
@@ -239,7 +237,7 @@ def calibrate_variant(variant: str, cfg: PipelineConfig, datasets: list[Dataset]
     only stronger targets; the mean log likelihood ratio on noise falls
     quadratically with the claimed SNR while its spread only grows
     linearly, so higher windows random-walk past the confirmation
-    threshold less, not more), and the cfar variant raises the clutter
+    threshold less, not more), and a detection variant raises the clutter
     rate lambda (each detection argues less). The first setting with zero
     sustained confirmations wins, plus `margin_steps` extra steps of
     slack against sampling error in the sweep datasets. Raises if no

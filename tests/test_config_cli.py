@@ -19,8 +19,9 @@ from sonartkbd.array import ArrayGeometry
 from sonartkbd.cli import main
 from sonartkbd.config import (_DOMAINS, CONFIG_VERSION, ConfigError, PipelineConfig,
                               default_config, load_config, save_config)
-from sonartkbd.noise import VarModel, save_var
-from sonartkbd.sim import Dataset, save_dataset
+from sonartkbd.noise import VarModel, load_var, save_var
+from sonartkbd.sim import Dataset, load_dataset, save_dataset
+from sonartkbd.study import calibrate_variant
 
 
 @pytest.fixture(scope="module")
@@ -255,9 +256,12 @@ def test_model_with_other_channel_count_is_rejected(workdir, tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("column, value", [("q", "nan"), ("psi_est_deg", "nan"),
-                                           ("q", "-0.5"), ("q", "inf"), ("confirmed", "2")])
+                                           ("q", "-0.5"), ("q", "inf"), ("confirmed", "2"),
+                                           ("batch_index", "1.5"), ("batch_index", "7")])
 def test_eval_rejects_a_bad_track_log(workdir, tmp_path, capsys, column, value):
-    """A NaN, a q outside [0, 1] or a confirmed flag other than 0/1 stops eval."""
+    """A NaN, a q outside [0, 1], a confirmed flag other than 0/1 or a
+    batch_index other than the row's index stops eval, which scores a log by
+    row position."""
     rc = main(["track", "--config", str(workdir / "config.ini"), "--data",
                str(workdir / "ds"), "--variant", "cfar", "--out", str(tmp_path / "t.csv")])
     assert rc == 0
@@ -551,6 +555,43 @@ def test_non_finite_model_value_fails_with_one_line(workdir, tmp_path, capsys, c
     line = _one_error_line(capsys)
     assert str(tmp_path / "bad.var") in line and f"non-finite {part}" in line
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_calibrate_prior_takes_the_variants_own_model(workdir, tmp_path, capsys):
+    """tvar0's `--model` is its order-0 fit, as in `track`: the CLI writes the
+    config `calibrate_variant` gives with that model in both model slots, and
+    prints its SNR prior."""
+    config, noise, m0 = str(workdir / "config.ini"), tmp_path / "noise", tmp_path / "m0.var"
+    assert main(["simulate", "--config", config, "--seed", "3", "--target-free",
+                 "--out", str(noise)]) == 0
+    assert main(["fit-noise", "--data", str(noise), "--order", "0", "--out", str(m0)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "tvar0.ini"
+    assert main(["calibrate-prior", "--config", config, "--data", str(noise), "--variant",
+                 "tvar0", "--model", str(m0), "--seed", "4", "--out", str(out)]) == 0
+    model0 = load_var(m0)
+    want = calibrate_variant("tvar0", load_config(config), [load_dataset(noise)],
+                             model0, model0, 4).config
+    assert load_config(out) == want
+    lo, hi = want.filter_snr_lo_db, want.filter_snr_hi_db
+    assert f"calibrated SNR prior = [{lo:.1f}, {hi:.1f}] dB" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", [["--model0", "m0.var"], ["--run-index", "7"]],
+                         ids=["model0", "run-index"])
+def test_calibrate_prior_has_no_model0_or_run_index(workdir, option):
+    """Both were redundant: `--model` is the variant's own model, and the
+    sweep's seed lanes do not read a run index."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["calibrate-prior", "--data", str(workdir / "ds"), "--variant", "tvar0",
+              "--model", str(workdir / "model.var"), *option])
+    assert exit_info.value.code == 2
+
+
+def test_calibrate_prior_checks_for_a_model_before_reading_the_data(tmp_path, capsys):
+    assert main(["calibrate-prior", "--data", str(tmp_path / "nowhere"),
+                 "--variant", "gvar"]) == 1
+    assert "needs --model" in _one_error_line(capsys)
 
 
 def test_cfar_track_needs_no_model(workdir):

@@ -11,7 +11,7 @@ from scipy.stats import norm
 
 from sonartkbd.config import ConfigError, default_config
 from sonartkbd.detect import (_window_kernel, _z_quantile, cfar_detect, cfar_detections,
-                              cfar_detections_from, detection_log_lr)
+                              detection_log_lr)
 
 
 def cfar_params(**kw):
@@ -146,11 +146,11 @@ def test_cfar_detections_from_a_row_train_on_the_rows_before_it(train_rows):
     pieces = []
     for lo in range(0, 12, 5):
         first = max(lo - train_rows, 0)
-        pieces += cfar_detections_from(energies[first:lo + 5], lo - first, params, bearings)
+        pieces += cfar_detections(energies[first:lo + 5], params, bearings, first=lo - first)
     assert len(pieces) == 12 and sum(map(len, whole)) > 0
     for got, want in zip(pieces, whole):
         np.testing.assert_array_equal(got, want)
-    assert cfar_detections_from(energies, 12, params, bearings) == []
+    assert cfar_detections(energies, params, bearings, first=12) == []
 
 
 def test_window_wider_than_grid_is_rejected():

@@ -104,6 +104,7 @@ def test_make_likelihood_one_ratio_per_batch():
 @pytest.mark.parametrize("variant, order, match", [
     ("tvar1", 3, "unknown variant 'tvar1'"),
     ("gvar", None, "variant 'gvar' needs a noise model"),
+    ("tvar0", None, "needs a noise model"),
     ("tvar0", 3, "tvar0 expects an order-0 noise model"),
 ])
 def test_make_likelihood_rejects_a_bad_call_before_iterating(variant, order, match):

@@ -50,6 +50,8 @@ def test_worker_count_does_not_change_track_logs():
 
 def test_calibrated_study_equals_the_hand_composed_protocol():
     """The engine draws every random stream exactly as the steps run one by one."""
+    # VARIANTS.index picks each pass's seed lane, so this order is part of every study's streams
+    assert VARIANTS == ("tvar", "tvar0", "gvar", "cfar")
     cfg = short_config()
     got = calibrated_study(cfg, n_runs=1, n_cal_runs=1)
 
