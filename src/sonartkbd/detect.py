@@ -38,38 +38,14 @@ def _window_kernel(cfg: PipelineConfig) -> np.ndarray:
     return kernel
 
 
-def cfar_detect(row: np.ndarray, history: np.ndarray | None, cfg: PipelineConfig
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Detect peaks in one BTR row against local training statistics.
+def cfar_detect(stack: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Detect peaks in `stack[-1]`, the newest row of an (R + 1, G) BTR stack.
 
-    Parameters
-    ----------
-    row : ndarray, shape (G,)
-        Current beamformed energies over the bearing grid.
-    history : ndarray, shape (R, G) or None
-        Up to `cfg.cfar_train_rows` previous rows, oldest first. Extra rows
-        are an error so callers notice unbounded buffers.
-    cfg : PipelineConfig
-        Source of the `cfar_*` window sizes and false-alarm level.
-
-    Returns
-    -------
-    (indices, threshold)
-        Indices of detected cells after local-maximum suppression, and the
-        per-cell threshold that was applied.
+    Every row trains, oldest first: the row under test and the up to
+    `cfg.cfar_train_rows` rows before it. Returns the detected cells after
+    local-maximum suppression and the per-cell threshold that was applied.
     """
-    row = np.asarray(row, dtype=float)
-    if history is None or len(history) == 0:
-        stack = row[None, :]
-    else:
-        history = np.atleast_2d(np.asarray(history, dtype=float))
-        if history.shape[0] > cfg.cfar_train_rows:
-            raise ValueError(
-                f"history holds {history.shape[0]} rows, cfar.train_rows allows "
-                f"{cfg.cfar_train_rows}")
-        if history.shape[1] != row.shape[0]:
-            raise ValueError("history and row disagree on grid size")
-        stack = np.vstack([history, row[None, :]])
+    row = stack[-1]
     kernel = _window_kernel(cfg)
     col_sum = stack.sum(axis=0)
     col_sumsq = (stack ** 2).sum(axis=0)
@@ -99,6 +75,15 @@ def _suppress_runs(row: np.ndarray, fired: np.ndarray) -> np.ndarray:
     return np.asarray(keep, dtype=int)
 
 
+def check_cfar_window(cfg: PipelineConfig, n_cells: int) -> None:
+    """ValueError if the CFAR window (2 (guard + train) + 1 cells) is wider
+    than a bearing grid of `n_cells` cells."""
+    window = _window_kernel(cfg).size
+    if window > n_cells:
+        raise ValueError(f"CFAR window of {window} cells (2*(guard+train)+1) is wider than "
+                         f"the {n_cells}-cell bearing grid")
+
+
 def cfar_detections(record: np.ndarray, cfg: PipelineConfig, bearings_deg: np.ndarray,
                     first: int = 0) -> list[np.ndarray]:
     """Detected bearings of rows first.. of a (K, G) bearing-time record.
@@ -106,17 +91,13 @@ def cfar_detections(record: np.ndarray, cfg: PipelineConfig, bearings_deg: np.nd
     Row k trains on itself and the up to `cfg.cfar_train_rows` rows before
     it, those before `first` too, so pieces of a record that each carry the
     previous piece's training rows detect as the whole record does. Raises
-    if the CFAR window (2 (guard + train) + 1 cells) is wider than the grid.
+    as `check_cfar_window` does if the CFAR window is wider than the grid.
     """
     bearings_deg = np.asarray(bearings_deg, dtype=float)
-    window = _window_kernel(cfg).size
-    if window > bearings_deg.size:
-        raise ValueError(
-            f"CFAR window of {window} cells (2*(guard+train)+1) is wider than "
-            f"the {bearings_deg.size}-cell bearing grid")
+    check_cfar_window(cfg, bearings_deg.size)
     out = []
     for k in range(first, len(record)):
-        idx, _ = cfar_detect(record[k], record[max(0, k - cfg.cfar_train_rows):k], cfg)
+        idx, _ = cfar_detect(record[max(0, k - cfg.cfar_train_rows):k + 1], cfg)
         out.append(bearings_deg[idx])
     return out
 

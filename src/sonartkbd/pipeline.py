@@ -27,7 +27,7 @@ import numpy as np
 
 from .array import BeamformGrid
 from .config import PipelineConfig
-from .detect import cfar_detections, detection_log_lr
+from .detect import cfar_detections, check_cfar_window, detection_log_lr
 from .noise import VarModel, WhitenState, whiten
 from .sim import Dataset
 from .stats import gauss_log_lr, t_log_lr
@@ -98,6 +98,7 @@ def beam_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None =
     but should not be scored. A model whose channel count differs from the
     dataset's is a ValueError.
     """
+    _check_channels(dataset, model)
     k = dataset.n_batches
     energies, z_norm_sq, warmup = np.empty((k, grid.bearings_deg.size)), np.empty(k), 0
     for lo in range(0, k, _BLOCK):
@@ -106,6 +107,12 @@ def beam_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None =
             dataset, grid, model, lo, hi)
         warmup += block_warmup
     return energies, z_norm_sq, warmup
+
+
+def _check_channels(dataset: Dataset, model: VarModel | None) -> None:
+    m = dataset.geometry.n_channels
+    if model is not None and model.n_channels != m:
+        raise ValueError(f"noise model has {model.n_channels} channels, the dataset has {m}")
 
 
 def _block_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None,
@@ -120,9 +127,6 @@ def _block_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None
     data = dataset.samples[lo * n:hi * n]
     warmup = 0
     if model is not None:
-        if model.n_channels != m:
-            raise ValueError(f"noise model has {model.n_channels} channels, "
-                             f"the dataset has {m}")
         start, p = lo * n, model.order
         history = np.zeros((p, m))
         seen = dataset.samples[max(start - p, 0):start]
@@ -159,9 +163,10 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
     scores the batch's CFAR detections on the raw energies and ignores the
     SNR. A variant that whitens nothing drops any model it is given. A
     batch's entry is None while the whitener is warming up, and the filter
-    then only predicts. The checks on `variant` and `model` run at the
-    call; the fields come from a generator that builds one block of
-    `_BLOCK` batches at a time and holds only that block.
+    then only predicts. The checks on `variant`, on the model's order and
+    channel count and on the CFAR window's width run at the call; the
+    fields come from a generator that builds one block of `_BLOCK` batches
+    at a time and holds only that block.
     """
     spec = VARIANT_TABLE.get(variant)
     if spec is None:
@@ -170,17 +175,21 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
         raise ValueError(f"variant {variant!r} needs a noise model")
     if spec.model == "order0" and model.order != 0:
         raise ValueError(f"{variant} expects an order-0 noise model")
-    return _pass_fields(spec.ratio, dataset, cfg, model if spec.model else None)
+    model = model if spec.model else None
+    _check_channels(dataset, model)
+    grid = bearing_beamformer(dataset, cfg)
+    if spec.ratio == "detections":
+        check_cfar_window(cfg, grid.bearings_deg.size)
+    return _pass_fields(spec.ratio, dataset, cfg, model, grid)
 
 
-def _pass_fields(kind: str, dataset: Dataset, cfg: PipelineConfig,
-                 model: VarModel | None) -> Iterator[LikelihoodField | None]:
+def _pass_fields(kind: str, dataset: Dataset, cfg: PipelineConfig, model: VarModel | None,
+                 grid: BeamformGrid) -> Iterator[LikelihoodField | None]:
     """`make_likelihood`'s fields for the ratio `kind`. Each block is whitened
     and beamformed in one call; detections come from its rows alone, which
     also train on the record's last `cfar_train_rows` rows before them. Its
     ln L grid tables come `_TABLE_BLOCK` batches at a time from one ratio
     call each and live only while one `birth_cdfs` call turns them into CDFs."""
-    grid = bearing_beamformer(dataset, cfg)
     bearings = grid.bearings_deg
     eta_grid = np.arange(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db + 1e-9,
                          cfg.filter_eta_step_db)

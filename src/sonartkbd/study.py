@@ -79,7 +79,7 @@ def synth_sea_recording(geom: ArrayGeometry, duration_s: float,
 def _all_pole(den: list[float], x: np.ndarray) -> np.ndarray:
     """`x` filtered along axis 0 by 1/A(z) from rest, A(z) = sum_k den[k] z^-k with
     den[0] = 1: the solution of A's lower-triangular banded Toeplitz system."""
-    return solve_banded((len(den) - 1, 0), np.repeat(np.c_[den], len(x), 1), x)
+    return solve_banded((len(den) - 1, 0), np.broadcast_to(np.c_[den], (len(den), len(x))), x)
 
 
 def default_ambient_model(geom: ArrayGeometry) -> tuple[VarModel, VarModel]:

@@ -190,12 +190,7 @@ def predict(belief: BernoulliBelief, cfg: PipelineConfig, batch_period: float,
     w_birth = np.full(n_birth, p_b * (1.0 - q) / q_pred / n_birth)
     states = np.vstack([survivors, births])
     weights = np.concatenate([w_surv, w_birth])
-    total = weights.sum()
-    if total > 0:
-        weights = weights / total
-    else:
-        weights = np.full(weights.size, 1.0 / weights.size)
-    return BernoulliBelief(min(q_pred, 1.0), states, weights)
+    return BernoulliBelief(min(q_pred, 1.0), states, weights / weights.sum())
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

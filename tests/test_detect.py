@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sonartkbd.config import ConfigError, default_config
-from sonartkbd.detect import (_window_kernel, _z_quantile, cfar_detect, cfar_detections,
-                              detection_log_lr)
+from sonartkbd.detect import (_suppress_runs, _window_kernel, _z_quantile, cfar_detect,
+                              cfar_detections, detection_log_lr)
 
 
 def cfar_params(**kw):
@@ -48,9 +48,7 @@ def test_window_kernel_layout():
 def test_constant_rows_fire_nothing():
     """Zero training spread means threshold == value; strict > keeps quiet."""
     params = cfar_params(guard_cells=2, train_cells=4, train_rows=3)
-    row = np.full(50, 7.0)
-    history = np.full((3, 50), 7.0)
-    idx, threshold = cfar_detect(row, history, params)
+    idx, threshold = cfar_detect(np.full((4, 50), 7.0), params)
     assert idx.size == 0
     np.testing.assert_allclose(threshold, 7.0, atol=1e-9)
 
@@ -58,32 +56,66 @@ def test_constant_rows_fire_nothing():
 def test_spike_is_detected_at_its_cell():
     rng = np.random.default_rng(0)
     params = cfar_params(guard_cells=2, train_cells=8, train_rows=4, alpha=1e-3)
-    history = rng.normal(10.0, 1.0, size=(4, 80))
-    row = rng.normal(10.0, 1.0, size=80)
-    row[37] = 40.0
-    idx, _ = cfar_detect(row, history, params)
+    stack = rng.normal(10.0, 1.0, size=(5, 80))
+    stack[-1, 37] = 40.0
+    idx, _ = cfar_detect(stack, params)
     assert idx.tolist() == [37]
 
 
 def test_adjacent_detections_collapse_to_peak():
     rng = np.random.default_rng(1)
     params = cfar_params(guard_cells=2, train_cells=8, train_rows=4, alpha=1e-3)
-    history = rng.normal(10.0, 1.0, size=(4, 80))
-    row = rng.normal(10.0, 1.0, size=80)
-    row[40] = 35.0
-    row[41] = 45.0
-    row[42] = 36.0
-    idx, _ = cfar_detect(row, history, params)
+    stack = rng.normal(10.0, 1.0, size=(5, 80))
+    stack[-1, 40:43] = 35.0, 45.0, 36.0
+    idx, _ = cfar_detect(stack, params)
     assert 41 in idx.tolist()
     assert not {40, 42} & set(idx.tolist())
 
 
-def test_history_row_budget_enforced():
-    params = cfar_params(train_rows=2)
-    with pytest.raises(ValueError):
-        cfar_detect(np.zeros(40), np.zeros((3, 40)), params)
-    with pytest.raises(ValueError):
-        cfar_detect(np.zeros(40), np.zeros((2, 41)), params)
+def row_and_history_cfar(row, history, cfg):
+    """The earlier `cfar_detect(row, history, cfg)`, kept as the oracle: it
+    trains on `history` (None or up to `cfar_train_rows` rows, oldest first)
+    stacked over `row`."""
+    row = np.asarray(row, dtype=float)
+    if history is None or len(history) == 0:
+        stack = row[None, :]
+    else:
+        history = np.atleast_2d(np.asarray(history, dtype=float))
+        stack = np.vstack([history, row[None, :]])
+    kernel = _window_kernel(cfg)
+    col_sum = stack.sum(axis=0)
+    col_sumsq = (stack ** 2).sum(axis=0)
+    n_rows = stack.shape[0]
+    train_sum = np.convolve(col_sum, kernel, mode="same")
+    train_sumsq = np.convolve(col_sumsq, kernel, mode="same")
+    train_count = np.convolve(np.full(row.shape[0], float(n_rows)), kernel, mode="same")
+    mean = train_sum / train_count
+    var = train_sumsq / train_count - mean ** 2
+    scale = train_count / np.maximum(train_count - 1.0, 1.0)
+    std = np.sqrt(np.maximum(var * scale, 0.0))
+    threshold = mean + _z_quantile(cfg.cfar_alpha) * std
+    fired = row > threshold
+    return _suppress_runs(row, fired), threshold
+
+
+@settings(max_examples=60, deadline=None)
+@given(train_rows=st.integers(0, 4), guard=st.integers(0, 2), train=st.integers(1, 4),
+       alpha=st.sampled_from([1e-3, 0.05, 0.3]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_stack_detector_equals_the_row_and_history_form(train_rows, guard, train, alpha,
+                                                        seed, data):
+    """`cfar_detect(vstack([history, row]))` gives the row-and-history
+    detector's indices and threshold bit for bit, for 0..train_rows rows."""
+    params = cfar_params(guard_cells=guard, train_cells=train, train_rows=train_rows,
+                         alpha=alpha)
+    n_hist = data.draw(st.integers(0, train_rows), label="history rows")
+    stack = np.random.default_rng(seed).gamma(2.0, 1.0, size=(n_hist + 1, 40))
+    stack[-1, seed % 40] += 20.0  # a peak, so most examples fire
+    history = stack[:-1] if n_hist else data.draw(st.sampled_from([None, stack[:0]]))
+    idx, threshold = cfar_detect(stack, params)
+    want_idx, want_threshold = row_and_history_cfar(stack[-1].copy(), history, params)
+    assert idx.dtype == want_idx.dtype and idx.tolist() == want_idx.tolist()
+    assert np.array_equal(threshold, want_threshold)
 
 
 def test_false_alarm_rate_is_controlled():
@@ -127,10 +159,10 @@ def test_cfar_detections_train_on_the_rows_before(train_rows):
     energies = np.random.default_rng(5).gamma(2.0, 1.0, size=(12, 30))
     bearings = np.linspace(-90.0, 90.0, 30)
     found = cfar_detections(energies, params, bearings)
-    window = deque(maxlen=train_rows)
+    window = deque(maxlen=train_rows + 1)
     for k, row in enumerate(energies):
-        idx, _ = cfar_detect(row, np.array(window) if window else None, params)
         window.append(row)
+        idx, _ = cfar_detect(np.array(window), params)
         np.testing.assert_array_equal(found[k], bearings[idx])
 
 

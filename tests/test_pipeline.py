@@ -101,21 +101,28 @@ def test_make_likelihood_one_ratio_per_batch():
     assert cfar[3].loglr(bearings, -8.0).tolist() == cfar[3].loglr(bearings, -3.0).tolist()
 
 
-@pytest.mark.parametrize("variant, order, match", [
-    ("tvar1", 3, "unknown variant 'tvar1'"),
-    ("gvar", None, "variant 'gvar' needs a noise model"),
-    ("tvar0", None, "needs a noise model"),
-    ("tvar0", 3, "tvar0 expects an order-0 noise model"),
-])
-def test_make_likelihood_rejects_a_bad_call_before_iterating(variant, order, match):
+BAD_CALLS = [  # variant, model order, model channels, bearing step (deg), error
+    ("tvar1", 3, 8, 1.0, "unknown variant 'tvar1'"),
+    ("gvar", None, 8, 1.0, "variant 'gvar' needs a noise model"),
+    ("tvar0", None, 8, 1.0, "needs a noise model"),
+    ("tvar0", 3, 8, 1.0, "tvar0 expects an order-0 noise model"),
+    ("tvar", 3, 4, 1.0, "noise model has 4 channels, the dataset has 8"),
+    ("cfar", None, 8, 2.0, r"CFAR window of 171 cells .* the 91-cell bearing grid"),
+]
+
+
+@pytest.mark.parametrize("variant, order, channels, step, match", BAD_CALLS,
+                         ids=[f"{v}-{o}-{m}" for v, o, _, _, m in BAD_CALLS])
+def test_make_likelihood_rejects_a_bad_call_before_iterating(variant, order, channels, step,
+                                                             match):
     """Each ValueError is raised by the call itself, so a pass that is never
-    iterated cannot hide a bad variant or model."""
-    cfg = default_config("sim")
+    iterated cannot hide a bad variant, model or CFAR window. The sim
+    profile's window is 171 cells; a 2-degree step leaves a 91-cell grid."""
+    cfg = replace(default_config("sim"), grid_bearing_step_deg=step)
     ds = random_dataset(cfg.array_elements, cfg.batch_samples, 2, seed=1)
     model = None
     if order is not None:
-        model = fit_var(np.random.default_rng(2).standard_normal((3000, cfg.array_elements)),
-                        order)
+        model = fit_var(np.random.default_rng(2).standard_normal((3000, channels)), order)
     with pytest.raises(ValueError, match=match):
         make_likelihood(variant, ds, cfg, model)
 
