@@ -9,9 +9,9 @@ likelihood (:mod:`sonartkbd.detect`), the Bernoulli particle filter
 evaluation metrics (:mod:`sonartkbd.evaluate`), and the command line
 interface (:mod:`sonartkbd.cli`).
 
-Importing the package pins every loaded OpenBLAS to one thread, so results
-do not depend on `OPENBLAS_NUM_THREADS` and study workers do not compete
-with BLAS threads for the cores.
+Importing the package pins numpy's OpenBLAS to one thread, so results do
+not depend on `OPENBLAS_NUM_THREADS` and study workers do not compete with
+BLAS threads for the cores. numpy is the only runtime dependency.
 """
 
 import ctypes
@@ -19,7 +19,7 @@ import warnings
 
 __version__ = "0.1.0"
 
-# thread-count setters of the OpenBLAS builds numpy and scipy bundle
+# thread-count setters of a system OpenBLAS and of the builds numpy wheels bundle
 _BLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
 
@@ -27,13 +27,12 @@ _BLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
 def _pin_blas_threads() -> int:
     """Set every loaded OpenBLAS to one thread; return how many were set.
 
-    numpy and scipy each load their own OpenBLAS, found by path in this
-    process's memory map (Linux only). Warns once if none could be set
-    (another platform, or MKL or Accelerate): results then follow the
-    BLAS library's own thread setting.
+    Each OpenBLAS in this process (numpy's, and any a library imported
+    earlier brought) is found by path in the memory map (Linux only). Warns
+    once if none could be set (another platform, or MKL or Accelerate):
+    results then follow the BLAS library's own thread setting.
     """
     import numpy  # noqa: F401  (loads numpy's OpenBLAS)
-    import scipy.linalg  # noqa: F401  (loads scipy's)
     try:
         with open("/proc/self/maps") as fh:
             # only the pathname field of a mapping line can hold the word

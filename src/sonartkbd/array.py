@@ -159,8 +159,10 @@ class BeamformGrid:
         self.bearings_deg = np.asarray(bearings_deg, dtype=float)
         self.n_samples = int(n_samples)
         half = self.n_samples // 2 + 1
-        steer = make_steering(geom, self.bearings_deg, n_samples)[..., :half]  # (M, G, N/2+1)
-        self._steer = np.ascontiguousarray(steer.conj().transpose(2, 0, 1))
+        # one channel's (G, N) spectra at a time, so no (M, G, N) array is formed
+        self._steer = np.empty((half, geom.n_channels, self.bearings_deg.size), dtype=complex)
+        for ch, tau in enumerate(steering_delays(geom, self.bearings_deg)):
+            self._steer[:, ch] = delay_spectrum(tau, n_samples, geom.sample_rate)[:, :half].T.conj()
 
     def energies(self, batches: np.ndarray) -> np.ndarray:
         """Beamformed energy at every grid bearing, (K, G), for a (K, N, M) stack.

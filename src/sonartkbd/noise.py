@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky, solve, solve_discrete_lyapunov, solve_triangular
 
 _MAGIC = b"SONARVAR"
 _VERSION = 1
@@ -74,8 +73,9 @@ class VarModel:
         return self.noise_cov.shape[0]
 
     def noise_chol(self) -> np.ndarray:
-        """Lower Cholesky factor of the innovation covariance."""
-        return cholesky(self.noise_cov, lower=True)
+        """Lower Cholesky factor of the innovation covariance, in Fortran order
+        (the layout LAPACK returns it in, which fixes the bits of products with it)."""
+        return np.asfortranarray(np.linalg.cholesky(self.noise_cov))
 
     def companion(self) -> np.ndarray:
         p, m = self.order, self.n_channels
@@ -104,13 +104,21 @@ class VarModel:
 
     @cached_property
     def _stationary(self) -> np.ndarray:
-        """Solved in companion form (Lutkepohl 2005, sec. 2.1)."""
+        """Solved in companion form (Lutkepohl 2005, sec. 2.1) by Smith's doubling:
+        X <- X + A X A^T, A <- A^2 sums the series X = sum_k A^k Q A^kT in
+        doubling blocks until X stops changing, at most 2^64 terms."""
         p, m = self.order, self.n_channels
         if p == 0:
             return self.noise_cov.copy()
-        q = np.zeros((p * m, p * m))
-        q[:m, :m] = self.noise_cov
-        return solve_discrete_lyapunov(self.companion(), q)[:m, :m].copy()
+        x = np.zeros((p * m, p * m))
+        x[:m, :m] = self.noise_cov
+        a = self.companion()
+        for _ in range(64):
+            grown = x + a @ x @ a.T
+            if np.array_equal(grown, x):
+                break
+            x, a = grown, a @ a
+        return x[:m, :m].copy()
 
 
 def fit_var(data: np.ndarray, order: int) -> VarModel:
@@ -185,12 +193,15 @@ def select_order(data: np.ndarray, max_order: int) -> tuple[int, np.ndarray]:
 
 
 def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the normal equations, with a ridge of 1e-10 trace(gram) only if singular."""
+    """Solve the normal equations, with a ridge of 1e-10 trace(gram) only if
+    `gram` is not positive definite; LinAlgError if it is not even then."""
     try:
-        return solve(gram, rhs, assume_a="pos")
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         ridge = 1e-10 * np.trace(gram)
-        return solve(gram + ridge * np.eye(gram.shape[0]), rhs, assume_a="pos")
+        gram = gram + ridge * np.eye(gram.shape[0])
+        np.linalg.cholesky(gram)
+    return np.linalg.solve(gram, rhs)
 
 
 def _check_data(data) -> np.ndarray:
@@ -259,10 +270,11 @@ def whiten(model: VarModel, samples: np.ndarray, state: WhitenState | None = Non
     from likelihood evaluation.
 
     The input streams through one staging buffer `_TILE` rows at a time, and
-    each tile forms and solves its residual in its output rows: the output
-    plus about two tiles of memory, and the bits of one pass over all rows.
-    No tile has 1 row unless n does, as numpy and scipy take vector paths
-    for a single row, whose last bits can differ.
+    each tile forms its residual in its output rows and multiplies it by
+    F^-T, inverted once per call: the output plus about two tiles of memory,
+    and the bits of one pass over all rows. No tile has 1 row unless n does,
+    as numpy takes a vector path for a single row, whose last bits can
+    differ. A tile whose residual is not finite raises ValueError.
     """
     y = np.asarray(samples)
     m = model.n_channels
@@ -274,7 +286,7 @@ def whiten(model: VarModel, samples: np.ndarray, state: WhitenState | None = Non
     if state.history.shape != (p, m):
         raise FitError("whiten state does not match the model")
     n = y.shape[0]
-    chol = model.noise_chol()
+    unmix = np.linalg.inv(model.noise_chol()).T
     white = np.empty((n, m))
     stage = np.empty((p + min(n, _TILE), m))  # [p samples before the tile; the tile]
     stage[:p] = state.history
@@ -289,8 +301,10 @@ def whiten(model: VarModel, samples: np.ndarray, state: WhitenState | None = Non
         resid[:] = stage[p:p + k]
         for i in range(1, p + 1):
             resid -= np.matmul(stage[p - i:p - i + k], model.coeffs[i - 1].T, out=prod[:k])
-        # in place where scipy can, so no tile-sized copy
-        resid[:] = solve_triangular(chol, resid.T, lower=True, overwrite_b=True).T
+        if not np.isfinite(resid).all():
+            raise ValueError(f"whitening residuals of rows {lo}..{hi - 1} "
+                             "must not contain infs or NaNs")
+        resid[:] = np.matmul(resid, unmix, out=prod[:k])
         stage[:p] = stage[k:k + p]
     warmup = int(min(max(p - state.seen, 0), n))
     return white, WhitenState(stage[:p].copy(), state.seen + n), warmup

@@ -11,12 +11,12 @@ matters because the observed stream carries the heavy-tailed batch scale.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .array import ArrayGeometry, delay_spectrum, steering_delays
 from .config import PipelineConfig
@@ -78,8 +78,36 @@ def synth_sea_recording(geom: ArrayGeometry, duration_s: float,
 
 def _all_pole(den: list[float], x: np.ndarray) -> np.ndarray:
     """`x` filtered along axis 0 by 1/A(z) from rest, A(z) = sum_k den[k] z^-k with
-    den[0] = 1: the solution of A's lower-triangular banded Toeplitz system."""
-    return solve_banded((len(den) - 1, 0), np.broadcast_to(np.c_[den], (len(den), len(x))), x)
+    den[0] = 1, in blocks of 64 samples.
+
+    Every block's response from rest is one product with the lower-triangular
+    Toeplitz matrix of the impulse response; a loop then adds to each block
+    the response to the q = len(den) - 1 outputs before it. The memory is the
+    output and one block.
+    """
+    a = np.asarray(den[1:], dtype=float)
+    q, n, block = a.size, len(x), 64
+    # responses over one block to a unit impulse (column 0) and to each past
+    # output y_{-1}, ..., y_{-q} set to 1 (columns 1..q), rows y_{-q}, ..., y_{63}
+    resp = np.zeros((q + block, q + 1))
+    resp[:q, 1:] = np.eye(q)[::-1]
+    resp[q, 0] = 1.0
+    for j in range(q, q + block):
+        resp[j] -= a @ resp[j - q:j][::-1]
+    impulse, carried = resp[q:, 0], resp[q:, 1:]
+    lag = np.subtract.outer(np.arange(block), np.arange(block))
+    toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+    width, full = math.prod(x.shape[1:]), n - n % block
+    cols, out = x.reshape(n, width), np.empty((n, width))
+    np.matmul(toeplitz, cols[:full].reshape(-1, block, width),
+              out=out[:full].reshape(-1, block, width))
+    np.matmul(toeplitz[:n - full, :n - full], cols[full:], out=out[full:])
+    past = np.zeros((q, width))  # the q outputs before the block, newest first
+    for lo in range(0, n, block):
+        y = out[lo:lo + block]
+        y += carried[:len(y)] @ past
+        past = y[::-1][:q]
+    return out.reshape(x.shape)
 
 
 def default_ambient_model(geom: ArrayGeometry) -> tuple[VarModel, VarModel]:

@@ -227,10 +227,11 @@ def update(belief: BernoulliBelief, loglr: np.ndarray, cfg: PipelineConfig,
     if not (loglr < np.inf).all():  # false for NaN as well as +inf
         raise ValueError("particle log likelihood ratios must not be NaN or +inf")
     q = belief.exist_prob
-    peak = loglr.max()
+    # particles of weight 0 add nothing to I, so they must not set its scale
+    peak = loglr.max(where=belief.weights > 0, initial=-np.inf)
     total = 0.0
     if peak > -np.inf:
-        scaled = belief.weights * np.exp(loglr - peak)
+        scaled = belief.weights * np.exp(np.minimum(loglr - peak, 0.0))
         total = scaled.sum()
     if total <= 0.0:
         if q > 0:

@@ -1,5 +1,7 @@
 """Steering, delay spectra, and delay-and-sum beamforming."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,29 @@ def test_grid_matches_per_bearing_beamform():
     batch = np.random.default_rng(5).standard_normal((64, 8))
     explicit = [beamform(make_steering(geom, b, 64), batch) for b in bearings]
     np.testing.assert_allclose(grid.energies(batch[None]), [explicit], rtol=1e-12)
+
+
+@pytest.mark.parametrize("m, g, n", [(8, 181, 64), (4, 64, 16), (3, 7, 2), (8, 1, 64)])
+def test_grid_steering_built_per_channel_equals_whole_array_steering(m, g, n):
+    """The per-channel build stores the bits of conjugating and reordering
+    the whole (M, G, N) `make_steering` array."""
+    geom = default_ula(m)
+    bearings = np.linspace(-90.0, 90.0, g)
+    want = make_steering(geom, bearings, n)[..., :n // 2 + 1].conj().transpose(2, 0, 1)
+    assert np.array_equal(BeamformGrid(geom, bearings, n)._steer, want)
+
+
+def test_grid_construction_peak_is_near_its_stored_spectra():
+    """No (M, G, N) steering array is formed: the default grid's peak stays
+    under twice the (N/2 + 1, M, G) spectra it keeps (the whole array alone
+    would be 1.9 times them)."""
+    tracemalloc.start()
+    try:
+        grid = BeamformGrid(default_ula(), np.linspace(-90.0, 90.0, 181), 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grid._steer.nbytes
 
 
 @pytest.mark.parametrize("m, n", [(8, 64), (4, 64), (8, 8), (3, 2)])

@@ -39,6 +39,15 @@ def test_z_quantile_frozen():
         assert _z_quantile(float(alpha)) == float(norm.isf(alpha)), alpha
 
 
+def test_z_quantile_port_is_exact_in_the_far_tail_and_near_the_median():
+    """Both tail branches of the port (x below and above 8) and the centre
+    branch up to alpha = 1/2 give scipy's bits."""
+    alphas = np.concatenate([np.geomspace(1e-300, 1e-12, 1000), np.linspace(0.4, 0.5, 1001)])
+    want = norm.isf(alphas)
+    for alpha, z in zip(alphas, want):
+        assert _z_quantile(float(alpha)) == float(z), alpha
+
+
 def test_window_kernel_layout():
     k = _window_kernel(cfar_params(guard_cells=2, train_cells=3))
     # three training taps, two guard cells, the test cell, mirrored

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_discrete_lyapunov, solve_triangular
 
 from sonartkbd import noise
 from sonartkbd.config import default_config
@@ -131,15 +131,23 @@ def test_chunked_whitening_matches_whole(cuts):
         np.testing.assert_allclose(np.vstack(parts), whole, atol=1e-12)
 
 
-def whiten_in_one_product(model, y, state):
-    """Whitening as one lag product per lag over the whole input, stacked
-    behind the history, and one triangular solve."""
+def residual_in_one_product(model, y, history):
+    """The VAR residual as one lag product per lag over the whole input,
+    stacked behind the history; also returns that stack."""
     p, n = model.order, y.shape[0]
-    ext = np.vstack([state.history, y]) if p else y
+    ext = np.vstack([history, y]) if p else y
     resid = y.copy()
     for i in range(1, p + 1):
         resid -= ext[p - i:p - i + n] @ model.coeffs[i - 1].T
-    white = solve_triangular(model.noise_chol(), resid.T, lower=True).T
+    return resid, ext
+
+
+def whiten_in_one_product(model, y, state):
+    """Whitening as `residual_in_one_product` and one product with the
+    inverted factor."""
+    p, n = model.order, y.shape[0]
+    resid, ext = residual_in_one_product(model, y, state.history)
+    white = resid @ np.linalg.inv(model.noise_chol()).T
     new_hist = ext[n:] if p else state.history
     return white, new_hist, state.seen + n, int(min(max(p - state.seen, 0), n))
 
@@ -587,17 +595,47 @@ def test_model_arrays_are_read_only_copies():
 
 @pytest.mark.parametrize("make", [var1, known_var2, var20], ids=["p1", "p2", "p20"])
 def test_stored_stationary_figures_equal_a_fresh_solve(make):
-    from scipy.linalg import solve_discrete_lyapunov
     model = make()
     comp = model.companion()
-    q = np.zeros_like(comp)
-    q[:model.n_channels, :model.n_channels] = model.noise_cov
-    fresh = solve_discrete_lyapunov(comp, q)[:model.n_channels, :model.n_channels]
+    fresh = VarModel(model.coeffs, model.noise_cov).stationary_cov()
     assert model.spectral_radius() == np.abs(np.linalg.eigvals(comp)).max()
     first = model.stationary_cov()
     np.testing.assert_array_equal(first, fresh)
     first[:] = 0.0  # a copy: the stored covariance does not go stale
     np.testing.assert_array_equal(model.stationary_cov(), fresh)
+
+
+ORACLE_MODELS = pytest.mark.parametrize("make", [var1, known_var2, fitted_ambient, var20],
+                                        ids=["p1", "p2", "p14", "p20"])
+
+
+@ORACLE_MODELS
+def test_stationary_cov_agrees_with_a_lyapunov_solver(make):
+    """The doubling sum is the companion-form Lyapunov solution to rounding."""
+    model = make()
+    q = np.zeros_like(model.companion())
+    q[:model.n_channels, :model.n_channels] = model.noise_cov
+    want = solve_discrete_lyapunov(model.companion(), q)[:model.n_channels, :model.n_channels]
+    assert np.abs(model.stationary_cov() - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@ORACLE_MODELS
+def test_whitening_agrees_with_a_triangular_solve(make):
+    """The product with the inverted factor is the triangular solve to rounding."""
+    model = make()
+    y = NoiseStream(model, np.random.default_rng(12)).take(T + 100)
+    white, _, _ = whiten(model, y)
+    resid, _ = residual_in_one_product(model, y, WhitenState.fresh(model).history)
+    want = solve_triangular(model.noise_chol(), resid.T, lower=True).T
+    assert np.abs(white - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_noise_factor_is_lower_triangular_and_in_fortran_order():
+    """LAPACK's layout: products with the factor take the bits the chunked
+    stream tests pin."""
+    chol = known_var2().noise_chol()
+    assert chol.flags.f_contiguous and np.array_equal(chol, np.tril(chol))
+    np.testing.assert_allclose(chol @ chol.T, known_var2().noise_cov, rtol=1e-14, atol=1e-15)
 
 
 def test_pickled_model_carries_its_stored_figures():

@@ -123,6 +123,18 @@ def test_update_handles_vanishing_ratios():
     assert post.states.shape == belief.states.shape
 
 
+def test_update_scale_ignores_zero_weight_particles():
+    """A weight-0 particle 800 nats above the weighted ones adds nothing to
+    I, so it must not scale every weighted term down to 0 and drop q."""
+    params = small_params()
+    rng = np.random.default_rng(9)
+    weights = np.r_[np.full(4, 0.25), 0.0]
+    belief = BernoulliBelief(0.99, rng.uniform(-1, 1, size=(5, 3)), weights)
+    post = update(belief, np.r_[np.zeros(4), 800.0], params, rng)
+    assert post.exist_prob == pytest.approx(0.99, rel=1e-12)
+    assert np.isfinite(post.weights).all() and post.weights.sum() == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_update_rejects_nan_and_positive_inf(bad):
     params = small_params()
