@@ -9,24 +9,6 @@ import numpy as np
 from .config import PipelineConfig
 
 
-def ospa_single(estimates, truth_psi_deg: float, cutoff: float) -> float:
-    """OSPA distance against one true bearing for 0 or 1 estimates.
-
-    An empty estimate set costs the full `cutoff` (degrees); a single
-    estimate costs its cutoff-saturated bearing error. With 0 or 1
-    estimates against one truth the OSPA order cancels, so there is none
-    to set. More than one estimate is outside the single-target contract
-    and raises.
-    """
-    est = np.atleast_1d(np.asarray(estimates, dtype=float)) if estimates is not None \
-        else np.empty(0)
-    if est.size > 1:
-        raise ValueError(f"single-target OSPA got {est.size} estimates")
-    if est.size == 0:
-        return float(cutoff)
-    return float(min(abs(est[0] - truth_psi_deg), cutoff))
-
-
 def sustained_confirmation(confirmed: np.ndarray, min_run: int) -> int | None:
     """Index of the first batch opening >= `min_run` consecutive confirmations."""
     conf = np.asarray(confirmed, dtype=bool)
@@ -76,11 +58,10 @@ def make_run_report(track, truth, cfg: PipelineConfig) -> RunReport:
     n = psi_est.shape[0]
     if truth.psi_deg.shape[0] != n:
         raise ValueError(f"track has {n} batches, truth has {truth.psi_deg.shape[0]}")
-    ospa = np.array([
-        ospa_single([psi_est[k]] if confirmed[k] else None, truth.psi_deg[k],
-                    cfg.ospa_cutoff_deg)
-        for k in range(n)
-    ])
+    # single-target OSPA: 0 or 1 estimates against one truth, so the order
+    # cancels and a batch costs its cutoff-saturated error, or the cutoff
+    cutoff = cfg.ospa_cutoff_deg
+    ospa = np.where(confirmed, np.minimum(np.abs(psi_est - truth.psi_deg), cutoff), cutoff)
     first = sustained_confirmation(confirmed, cfg.eval_min_confirm_run)
     return RunReport(
         ospa=ospa,

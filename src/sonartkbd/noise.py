@@ -321,12 +321,15 @@ class NoiseStream:
     at the first burn-in sample. One product with the lifted matrix
     W = [T | H] maps a block's innovations and the history before it to the
     block's samples (companion form, Lutkepohl 2005, sec. 2.1). A call that
-    ends inside a block keeps its innovations and finishes the block on the
-    next call. Row i of the product depends only on row i of W, and T is
-    causal, so row i meets the innovations after sample i (stale ones from
-    the previous block, or zeros) only through exact zeros: the block
-    arithmetic gives the same bits however the `take` or `run` calls split the
-    stream.
+    ends inside a block keeps that block's standard normals and forms the
+    block again, in full, on the next call; only a complete block's samples
+    enter the history. Each call forms its innovations in one product of
+    whole blocks, the missing normals of an open block set to zero, so no
+    innovation product has a single row, whose last bits numpy's vector path
+    can change. Row i of W's product depends only on row i of W, and T is
+    causal, so row i meets the zeros after sample i only through exact
+    zeros: the stream has the same bits however the `take` or `run` calls
+    split it.
     """
 
     def __init__(self, model: VarModel, rng: np.random.Generator):
@@ -337,18 +340,11 @@ class NoiseStream:
         self.rng = rng
         self._chol = model.noise_chol()
         p, m = model.order, model.n_channels
+        self._open = np.empty((0, m))  # standard normals of the open block
         if p:
             self._lifted = _lifted_var(model)
-            # [innovations of the open block, stale past those drawn;
-            #  history y_{-1}, ..., y_{-p} before it]
+            # [innovations of the block; history y_{-1}, ..., y_{-p} before it]
             self._state = np.zeros((_BLOCK + p) * m)
-            self._filled = 0  # samples of the open block already handed out
-            # a finished block's newest min(p, L) samples enter the history
-            # newest first, after the older ones still in reach shift back
-            history = self._state[_BLOCK * m:]
-            kept = min(p, _BLOCK)
-            self._newest = history[:kept * m].reshape(kept, m)
-            self._shift = (history[_BLOCK * m:], history[:(p - kept) * m])
         self.take(max(10 * model.order, 1000))  # burn-in
 
     def take(self, n: int) -> np.ndarray:
@@ -358,43 +354,31 @@ class NoiseStream:
     def run(self, z: np.ndarray) -> np.ndarray:
         """Next len(z) samples, shape (n, M), driven by the standard normals
         `z` (n, M) that `take(n)` would have drawn."""
-        innov = z @ self._chol.T
-        if self.model.order == 0:
-            return innov
-        n, m = innov.shape
-        out = np.empty_like(innov)
-        # finish the open block, then whole blocks, then open the next one
-        head = min(-self._filled % _BLOCK, n)
-        whole = head + (n - head) // _BLOCK * _BLOCK
-        self._part(innov[:head], out[:head])
-        blocks = out[head:whole].reshape(-1, _BLOCK, m)
-        state, fresh = self._state, self._state[:_BLOCK * m]
-        (older, keep), newest = self._shift, self._newest
-        for e, y, newest_first in zip(innov[head:whole].reshape(-1, _BLOCK * m),
-                                      blocks.reshape(-1, _BLOCK * m),
-                                      blocks[:, ::-1][:, :newest.shape[0]]):
-            fresh[:] = e
+        p, m = self.model.order, self.model.n_channels
+        held = len(self._open)
+        n = held + len(z)
+        normals = np.zeros((-(-n // _BLOCK) * _BLOCK, m))
+        normals[:held] = self._open
+        normals[held:n] = z
+        self._open = normals[n - n % _BLOCK:n].copy()
+        innov = normals @ self._chol.T
+        if p == 0:
+            return innov[held:n]
+        # each block's samples overwrite its innovations; a complete block's
+        # newest min(p, L) samples enter the history newest first, after the
+        # older ones still in reach shift back
+        kept = min(p, _BLOCK)
+        state, history = self._state, self._state[_BLOCK * m:]
+        older, keep = history[_BLOCK * m:], history[:(p - kept) * m]
+        newest = history[:kept * m].reshape(kept, m)
+        newest_first = innov.reshape(-1, _BLOCK, m)[:, ::-1][:, :kept]
+        for b, (y, last) in enumerate(zip(innov.reshape(-1, _BLOCK * m), newest_first)):
+            state[:_BLOCK * m] = y
             np.matmul(self._lifted, state, out=y)
-            older[:] = keep
-            newest[:] = newest_first
-        self._part(innov[whole:], out[whole:])
-        return out
-
-    def _part(self, innov: np.ndarray, out: np.ndarray) -> None:
-        """The next samples of the open block, at most up to its end."""
-        k, m = innov.shape
-        if not k:
-            return
-        lo = self._filled * m
-        self._state[lo:lo + k * m] = innov.ravel()
-        y = self._lifted @ self._state
-        out[:] = y[lo:lo + k * m].reshape(k, m)
-        self._filled += k
-        if self._filled == _BLOCK:
-            older, keep = self._shift
-            older[:] = keep
-            self._newest[:] = y.reshape(_BLOCK, m)[::-1][:self._newest.shape[0]]
-            self._filled = 0
+            if b < n // _BLOCK:
+                older[:] = keep
+                newest[:] = last
+        return innov[held:n]
 
 
 def _lifted_var(model: VarModel) -> np.ndarray:

@@ -224,6 +224,9 @@ def generate_dataset(scenario: Scenario, rng: np.random.Generator,
     return Dataset(scenario.geometry, out, cfg.batch_samples, truth, seed, meta)
 
 
+_TRUTH_HEADER = "batch_index,psi_deg,eta_db,range_m"
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """Write the directory layout documented in the module docstring."""
     root = Path(path)
@@ -243,8 +246,7 @@ def save_dataset(ds: Dataset, path) -> None:
     if ds.truth is not None:
         t = ds.truth
         rows = np.column_stack([t.batch_index, t.psi_deg, t.eta_db, t.range_m])
-        header = "batch_index,psi_deg,eta_db,range_m"
-        np.savetxt(root / "truth.csv", rows, delimiter=",", header=header,
+        np.savetxt(root / "truth.csv", rows, delimiter=",", header=_TRUTH_HEADER,
                    comments="", fmt=["%d", "%.8f", "%.8f", "%.8f"])
 
 
@@ -307,10 +309,15 @@ def load_dataset(path) -> Dataset:
     truth = None
     truth_path = root / "truth.csv"
     if truth_path.exists():
-        cells = [s.split(",") for s in truth_path.read_text().splitlines()[1:] if s.strip()]
+        header, *lines = truth_path.read_text().splitlines() or [""]
+        header = header.strip()
+        cells = [s.split(",") for s in lines if s.strip()]
         if cells and len(cells[0]) != 4 and all(len(c) == len(cells[0]) for c in cells):
             raise DatasetError(f"{truth_path}: expected 4 columns (batch_index, psi_deg, "
                                f"eta_db, range_m), found {len(cells[0])}")
+        if header != _TRUTH_HEADER:
+            raise DatasetError(f"{truth_path}: expected header {_TRUTH_HEADER!r}, "
+                               f"found {header!r:.60}")
         rows = np.empty((len(cells), 4))
         for i, row in enumerate(cells):
             try:  # [] makes a short or long row fail; a single value would broadcast

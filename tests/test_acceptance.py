@@ -17,11 +17,11 @@ import pytest
 from sonartkbd.array import (ArrayGeometry, apply_steering, delay_spectrum,
                              make_steering, steering_delays)
 from sonartkbd.config import default_config
-from sonartkbd.evaluate import ospa_single
 from sonartkbd.noise import NoiseStream, VarModel, fit_var, whiten
 from sonartkbd.stats import gauss_log_lr, t_log_lr
 from sonartkbd.study import N_RUNS, N_WORKERS, calibrated_study
 from sonartkbd.tkbd import BernoulliBelief, update
+from test_eval import batch_ospa
 from test_stats import t_logpdf_full
 
 
@@ -200,10 +200,7 @@ def test_criterion_08_no_false_tracks_when_calibrated(study):
 
 
 def test_criterion_09_ospa_edge_cases():
-    miss = ospa_single(None, 12.0, 30.0)
-    hit = ospa_single([12.0], 12.0, 30.0)
-    far = ospa_single([-80.0], 12.0, 30.0)
-    near = ospa_single([15.5], 12.0, 30.0)
+    miss, hit, far, near = batch_ospa([None, 12.0, -80.0, 15.5], 12.0)
     ok = miss == 30.0 and hit == 0.0 and far == 30.0 and near == 3.5
     criterion(9, ok, f"miss {miss}, exact hit {hit}, saturated {far}, "
                      f"in-range {near} (expected 30/0/30/3.5)")

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from sonartkbd.config import ConfigError, default_config
 from sonartkbd.evaluate import (RunReport, aggregate_quantiles,
                                 flip_count, make_run_report,
-                                median_detection_eta, ospa_single,
-                                sustained_confirmation)
+                                median_detection_eta, sustained_confirmation)
 from sonartkbd.pipeline import TrackLog
 from sonartkbd.sim import ScenarioTruth
 
@@ -32,14 +31,21 @@ def track_log(psi_est, exist_prob, confirmed):
                     np.asarray(psi_est, dtype=float), zeros, zeros, confirmed)
 
 
+def batch_ospa(estimates, truth_psi_deg):
+    """Per-batch OSPA of one-batch tracks, each confirmed unless its estimate is None."""
+    confirmed = np.array([e is not None for e in estimates])
+    psi_est = [0.0 if e is None else e for e in estimates]
+    report = make_run_report(track_log(psi_est, confirmed.astype(float), confirmed),
+                             truth_const(len(estimates), psi=truth_psi_deg), default_config())
+    return report.ospa
+
+
 def test_ospa_edges():
-    assert ospa_single(None, 10.0, CUTOFF) == 30.0
-    assert ospa_single([], 10.0, CUTOFF) == 30.0
-    assert ospa_single([10.0], 10.0, CUTOFF) == 0.0
-    assert ospa_single([13.5], 10.0, CUTOFF) == pytest.approx(3.5)
-    assert ospa_single([-75.0], 10.0, CUTOFF) == 30.0  # saturates at cutoff
-    with pytest.raises(ValueError):
-        ospa_single([1.0, 2.0], 10.0, CUTOFF)
+    """Unconfirmed costs the cutoff, an exact estimate 0, an in-range error
+    itself, and errors saturate at the cutoff."""
+    assert default_config().ospa_cutoff_deg == CUTOFF
+    np.testing.assert_array_equal(batch_ospa([None, 10.0, 13.5, -75.0, 40.0], 10.0),
+                                  [30.0, 0.0, 3.5, 30.0, 30.0])
 
 
 def test_ospa_params_validation():
@@ -51,9 +57,9 @@ def test_ospa_params_validation():
 @settings(max_examples=100, deadline=None)
 @given(est=st.floats(-90, 90), truth=st.floats(-90, 90))
 def test_ospa_bounded_and_symmetric(est, truth):
-    d = ospa_single([est], truth, CUTOFF)
+    d = batch_ospa([est], truth)[0]
     assert 0.0 <= d <= CUTOFF
-    assert d == ospa_single([truth], est, CUTOFF)
+    assert d == batch_ospa([truth], est)[0]
 
 
 def test_sustained_confirmation_first_window():

@@ -1,11 +1,12 @@
 """VAR fitting, whitening, simulation, and the binary model format."""
 
+import functools
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov, solve_triangular
 
@@ -438,10 +439,12 @@ def test_stream_matches_per_sample_recursion(make):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("make", [var1, known_var2, var40], ids=["p1", "p2", "p40"])
+@pytest.mark.parametrize("make", [var1, known_var2, fitted_ambient, var40],
+                         ids=["p1", "p2", "p14", "p40"])
 def test_stream_is_bit_identical_across_chunkings(make):
-    """Takes that start and end inside blocks give the bits of one long take."""
-    sizes = (1, 31, 33, 64, 1000, 1, 31, 33, 64)
+    """Takes that start and end inside blocks, one-sample takes among them,
+    give the bits of one long take, on eight channels too."""
+    sizes = (1, 31, 33, 64, 1000, 1, 31, 33, 64, 1, 1, 2, 15, 16, 17)
     whole = NoiseStream(make(), np.random.default_rng(22)).take(sum(sizes))
     stream = NoiseStream(make(), np.random.default_rng(22))
     np.testing.assert_array_equal(np.vstack([stream.take(n) for n in sizes]), whole)
@@ -577,10 +580,27 @@ def test_run_on_drawn_normals_equals_take(sizes, which):
         want = taken.take(n)
         np.testing.assert_array_equal(driven.run(rng.standard_normal((n, model.n_channels))),
                                       want)
-    if which == "p20":  # on two channels every split also gives the bits of one take
-        whole = NoiseStream(model, np.random.default_rng(31)).take(sum(sizes))
-        again = NoiseStream(model, np.random.default_rng(31))
-        np.testing.assert_array_equal(np.vstack([again.take(n) for n in sizes]), whole)
+
+
+SPLIT_MODELS = {"p1": var1, "p2": known_var2, "p14": fitted_ambient, "p20": var20,
+                "p40": var40}
+
+
+@functools.cache
+def split_model(which):
+    return SPLIT_MODELS[which]()
+
+
+@settings(max_examples=50, deadline=None)
+@example(sizes=[1, 15, 1, 16, 80], which="p14")
+@given(sizes=st.lists(st.integers(1, 80), min_size=1, max_size=8),
+       which=st.sampled_from(sorted(SPLIT_MODELS)))
+def test_any_split_gives_the_bits_of_one_take(sizes, which):
+    """Every split of a take, one-sample pieces included, gives its bits."""
+    model = split_model(which)
+    whole = NoiseStream(model, np.random.default_rng(32)).take(sum(sizes))
+    stream = NoiseStream(model, np.random.default_rng(32))
+    np.testing.assert_array_equal(np.vstack([stream.take(n) for n in sizes]), whole)
 
 
 def test_model_arrays_are_read_only_copies():

@@ -314,3 +314,21 @@ def test_load_rejects_unreadable_truth_rows(tmp_path, edit):
     message = f"{path}: every data row needs 4 numbers (data row 3 reads '{lines[3]}')"
     with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
         load_dataset(tmp_path / "run")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: [",".join(np.array(line.split(","))[[0, 2, 1, 3]]) for line in lines],
+    lambda lines: lines[1:]], ids=["eta-before-psi", "headless"])
+def test_load_rejects_a_truth_file_without_the_saved_header(tmp_path, edit):
+    """A truth.csv whose first line is not the header `save_dataset` writes,
+    such as one with eta_db before psi_deg or none at all, names the file, the
+    expected header and the line found, rather than reading SNRs as bearings."""
+    ds = generate_dataset(straight_scenario(scenario_duration_s=2.0), np.random.default_rng(5))
+    save_dataset(ds, tmp_path / "run")
+    path = tmp_path / "run" / "truth.csv"
+    lines = edit(path.read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+    message = (f"{path}: expected header 'batch_index,psi_deg,eta_db,range_m', "
+               f"found {lines[0]!r}")
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_dataset(tmp_path / "run")
