@@ -240,7 +240,7 @@ def _lag_gram(padded: np.ndarray, p_max: int) -> np.ndarray:
 
 def _lag_rows(padded: np.ndarray, p_max: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of [y_n, y_{n-1}, ..., y_{n-P}], with y_n = padded[P + n]:
-    `select_order` leads the data with P zero rows, `fit_var` with its first P samples."""
+    `select_order` leads the data with P zero rows and takes rows 0..P-1."""
     m = padded.shape[1]
     z = np.empty((stop - start, (p_max + 1) * m))
     for i in range(p_max + 1):

@@ -4,16 +4,17 @@ The tracker variants share the identical filter and differ only in how a
 raw batch becomes a likelihood ratio: `VARIANT_TABLE` gives each one's
 ratio and the noise model it whitens with, and nothing else names a variant.
 
-`beam_energies` whitens a dataset's stream and beamforms its batches over
-the `bearing_beamformer` grid; `sonartkbd btr` and `sonartkbd detect` read
-the same energies. `make_likelihood` turns them into one log likelihood
-ratio ln L(psi, eta) per batch, a `LikelihoodField` built from the batch's
-energy row or detections: the filter update reads it at the particles and
-the birth proposal draws from its CDF over the (bearing, SNR) grid.
-`run_tracker` drives the filter over those as `make_likelihood` yields
-them, `_BLOCK` batches at a time from raw samples to birth CDFs with one
-block held, and every output equals one pass over the whole recording bit
-for bit. The array, batch length N and period N / fs come from the dataset.
+`_energy_blocks` is the front end: it whitens a dataset's stream `_BLOCK`
+batches at a time, each from the whitener state the block before left, and
+beamforms them over the `bearing_beamformer` grid; `beam_energies` joins its
+blocks for `sonartkbd btr` and `sonartkbd detect`. `make_likelihood` turns
+each block into one log likelihood ratio ln L(psi, eta) per batch, a
+`LikelihoodField` built from the batch's energy row or detections: the filter
+update reads it at the particles and the birth proposal draws from its CDF
+over the (bearing, SNR) grid. `run_tracker` drives the filter over those
+fields as they come, one block held, and every output equals one pass over
+the whole recording bit for bit. The array, batch length N and period N / fs
+come from the dataset.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .array import BeamformGrid
 from .config import PipelineConfig
 from .detect import cfar_detections, check_cfar_window, detection_log_lr
-from .noise import VarModel, WhitenState, whiten
+from .noise import VarModel, whiten
 from .sim import Dataset
 from .stats import gauss_log_lr, t_log_lr
 from .tkbd import (BEARING_LIMIT_DEG, ETA_DB, PSI, PSIDOT, BernoulliBelief,
@@ -91,20 +92,17 @@ def beam_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None =
                   ) -> tuple[np.ndarray, np.ndarray, int]:
     """Beamformed energies of every batch, whitened by `model` first if given.
 
-    The stream is whitened and beamformed `_BLOCK` batches at a time, which
-    equals one pass over the whole stack bit for bit. Returns the (K, G)
-    energies over `grid`, the (K,) batch energies ||z||^2 and how many
-    leading batches hold whitener warm-up rows; their energies are returned
-    but should not be scored. A model whose channel count differs from the
-    dataset's is a ValueError.
+    The blocks of `_energy_blocks` in one stack: the (K, G) energies over
+    `grid`, the (K,) batch energies ||z||^2 and how many leading batches hold
+    whitener warm-up rows, whose energies should not be scored. A model
+    whose channel count differs from the dataset's is a ValueError.
     """
     _check_channels(dataset, model)
     k = dataset.n_batches
     energies, z_norm_sq, warmup = np.empty((k, grid.bearings_deg.size)), np.empty(k), 0
-    for lo in range(0, k, _BLOCK):
-        hi = min(lo + _BLOCK, k)
-        energies[lo:hi], z_norm_sq[lo:hi], block_warmup = _block_energies(
-            dataset, grid, model, lo, hi)
+    blocks = _energy_blocks(dataset, grid, model)
+    for lo, (block, block_z2, block_warmup) in zip(range(0, k, _BLOCK), blocks):
+        energies[lo:lo + _BLOCK], z_norm_sq[lo:lo + _BLOCK] = block, block_z2
         warmup += block_warmup
     return energies, z_norm_sq, warmup
 
@@ -115,26 +113,20 @@ def _check_channels(dataset: Dataset, model: VarModel | None) -> None:
         raise ValueError(f"noise model has {model.n_channels} channels, the dataset has {m}")
 
 
-def _block_energies(dataset: Dataset, grid: BeamformGrid, model: VarModel | None,
-                    lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """`beam_energies` of batches lo..hi-1; the warm-up count is of this block.
-
-    The whitener starts from the p raw samples before the block, zero-padded
-    at the start of the stream: the state that whitening every earlier batch
-    would have left.
-    """
-    n, m = dataset.n_per_batch, dataset.geometry.n_channels
-    data = dataset.samples[lo * n:hi * n]
-    warmup = 0
-    if model is not None:
-        start, p = lo * n, model.order
-        history = np.zeros((p, m))
-        seen = dataset.samples[max(start - p, 0):start]
-        history[p - len(seen):] = seen
-        data, _, warmup_rows = whiten(model, data, WhitenState(history, start))
-        warmup = -(-warmup_rows // n)
-    batches = data.reshape(hi - lo, n, m)
-    return grid.energies(batches), (batches * batches).sum(axis=(1, 2)), warmup
+def _energy_blocks(dataset: Dataset, grid: BeamformGrid, model: VarModel | None
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """`beam_energies` `_BLOCK` batches at a time: each block's energies, ||z||^2
+    and warm-up batch count. Each `whiten` call starts from the state the
+    previous block's call returned, so the stream is whitened as one."""
+    n, m, k = dataset.n_per_batch, dataset.geometry.n_channels, dataset.n_batches
+    state, warmup = None, 0
+    for lo in range(0, k, _BLOCK):
+        batches = dataset.samples[lo * n:min(lo + _BLOCK, k) * n]
+        if model is not None:
+            batches, state, warmup_rows = whiten(model, batches, state)
+            warmup = -(-warmup_rows // n)
+        batches = batches.reshape(-1, n, m)
+        yield grid.energies(batches), (batches * batches).sum(axis=(1, 2)), warmup
 
 
 def uniform_interp(x, xp: np.ndarray, fp: np.ndarray, slopes: np.ndarray):
@@ -164,9 +156,8 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
     SNR. A variant that whitens nothing drops any model it is given. A
     batch's entry is None while the whitener is warming up, and the filter
     then only predicts. The checks on `variant`, on the model's order and
-    channel count and on the CFAR window's width run at the call; the
-    fields come from a generator that builds one block of `_BLOCK` batches
-    at a time and holds only that block.
+    channel count and on the CFAR window's width run at the call, before the
+    fields' generator starts.
     """
     spec = VARIANT_TABLE.get(variant)
     if spec is None:
@@ -185,11 +176,10 @@ def make_likelihood(variant: str, dataset: Dataset, cfg: PipelineConfig,
 
 def _pass_fields(kind: str, dataset: Dataset, cfg: PipelineConfig, model: VarModel | None,
                  grid: BeamformGrid) -> Iterator[LikelihoodField | None]:
-    """`make_likelihood`'s fields for the ratio `kind`. Each block is whitened
-    and beamformed in one call; detections come from its rows alone, which
-    also train on the record's last `cfar_train_rows` rows before them. Its
-    ln L grid tables come `_TABLE_BLOCK` batches at a time from one ratio
-    call each and live only while one `birth_cdfs` call turns them into CDFs."""
+    """`make_likelihood`'s fields for the ratio `kind`. Detections come from a
+    block's rows, which also train on the record's last `cfar_train_rows` rows
+    before them. The ln L grid tables come `_TABLE_BLOCK` batches at a time,
+    from one ratio call each, and live only until `birth_cdfs` makes CDFs."""
     bearings = grid.bearings_deg
     eta_grid = np.arange(cfg.filter_snr_lo_db, cfg.filter_snr_hi_db + 1e-9,
                          cfg.filter_eta_step_db)
@@ -200,11 +190,8 @@ def _pass_fields(kind: str, dataset: Dataset, cfg: PipelineConfig, model: VarMod
         eta = 10.0 ** (np.asarray(eta_db, dtype=float) / 10.0)
         return gauss_log_lr(energy, eta, n, m) if gaussian else t_log_lr(energy, z2, eta, nu, n, m)
 
-    k = dataset.n_batches
     tail = np.empty((0, bearings.size))  # the CFAR training rows before the block
-    for lo in range(0, k, _BLOCK):
-        hi = min(lo + _BLOCK, k)
-        energies, z_norm_sq, warmup = _block_energies(dataset, grid, model, lo, hi)
+    for energies, z_norm_sq, warmup in _energy_blocks(dataset, grid, model):
         if detections:
             record = np.concatenate([tail, energies])
             found = cfar_detections(record, cfg, bearings, first=len(tail))
@@ -279,16 +266,21 @@ def save_track_log(track: TrackLog, path) -> None:
 def load_track_log(path) -> TrackLog:
     """Read a track log written by `save_track_log`.
 
-    Every row must hold one number per column, every value finite, data row
-    i (from 0) `batch_index` i, q in [0, 1] and `confirmed` 0 or 1; the
-    ValueError otherwise names the file and the first bad data row.
+    Every row must parse as CSV and hold one number per column, every value
+    finite, data row i (from 0) `batch_index` i, q in [0, 1] and `confirmed`
+    0 or 1; the ValueError otherwise names the file and the first bad row.
     """
+    header, rows = None, []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != _TRACK_COLUMNS:
-            raise ValueError(f"{path}: not a track log (header {header})")
-        rows = [r for r in reader if r]
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != _TRACK_COLUMNS:
+                raise ValueError(f"{path}: not a track log (header {header})")
+            rows.extend(filter(None, reader))  # the rows before a reader error stay
+        except csv.Error as exc:
+            where = f"data row {len(rows) + 1}" if header else "header"
+            raise ValueError(f"{path}: {where} does not parse ({exc})") from None
     if not rows:
         raise ValueError(f"{path}: empty track log")
     width = len(_TRACK_COLUMNS)

@@ -63,10 +63,11 @@ class BernoulliBelief:
 class LikelihoodField:
     """One batch's log likelihood ratio and the (bearing, SNR) grid births use.
 
-    `loglr(psi_deg, eta_db)` broadcasts over its two arguments; the update
-    reads it at the particles and `grid` at the cell centres. `cdf` is
-    `birth_cdfs(grid)`, the birth-cell CDF over the flattened grid, which a
-    tracker pass builds a block of batches at a time.
+    `loglr(psi_deg, eta_db)` broadcasts over its two arguments, and the
+    update reads it at the particles. `grid` is ln L at the cell centres,
+    which only tests and the benchmark's tracer read. `cdf` is the birth-cell
+    CDF over the flattened grid, which a tracker pass builds with
+    `birth_cdfs` a block of batches at a time.
     """
 
     psi_grid: np.ndarray

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sonartkbd
 from sonartkbd.array import ArrayGeometry
@@ -20,6 +22,7 @@ from sonartkbd.cli import main
 from sonartkbd.config import (_DOMAINS, CONFIG_VERSION, ConfigError, PipelineConfig,
                               default_config, load_config, save_config)
 from sonartkbd.noise import VarModel, load_var, save_var
+from sonartkbd.pipeline import load_track_log
 from sonartkbd.sim import Dataset, load_dataset, save_dataset
 from sonartkbd.study import calibrate_variant
 
@@ -281,12 +284,14 @@ def test_eval_rejects_a_bad_track_log(workdir, tmp_path, capsys, column, value):
     assert not (tmp_path / "m.csv").exists() and not (tmp_path / "a.csv").exists()
 
 
-@pytest.mark.parametrize("edit", [
-    lambda row: ["abc"] + row[1:],
-    lambda row: row[:-1],
-], ids=["non-number", "missing-column"])
-def test_eval_names_the_row_that_does_not_parse(workdir, tmp_path, capsys, edit):
-    """A value that is no number or a short row names the file and the data row."""
+@pytest.mark.parametrize("edit, says", [
+    (lambda row: ["abc"] + row[1:], "needs 7 numbers"),
+    (lambda row: row[:-1], "needs 7 numbers"),
+    (lambda row: row[:-1] + ["1" * 200_000], "does not parse (field larger than field limit"),
+], ids=["non-number", "missing-column", "oversized-field"])
+def test_eval_names_the_row_that_does_not_parse(workdir, tmp_path, capsys, edit, says):
+    """A value that is no number, a short row or a field longer than the CSV
+    reader's limit names the file and the data row."""
     rc = main(["track", "--config", str(workdir / "config.ini"), "--data",
                str(workdir / "ds"), "--variant", "cfar", "--out", str(tmp_path / "t.csv")])
     assert rc == 0
@@ -298,8 +303,39 @@ def test_eval_names_the_row_that_does_not_parse(workdir, tmp_path, capsys, edit)
                  str(workdir / "ds"), "--tracks", str(tmp_path / "t.csv"),
                  "--out", str(tmp_path / "m.csv")]) == 1
     line = _one_error_line(capsys)
-    assert str(tmp_path / "t.csv") in line and "data row 3" in line and "needs 7 numbers" in line
+    assert str(tmp_path / "t.csv") in line and "data row 3" in line and says in line
     assert not (tmp_path / "m.csv").exists()
+
+
+TRACK_LOG_HEADER = "batch_index,time_s,q,psi_est_deg,psidot_est,eta_db_est,confirmed\n"
+FIELDS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "nan", "-inf", "1e999", " 1", "1_0", "", '"', "\r"]),
+    st.floats().map(repr),
+    st.text(st.characters(codec="utf-8"), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(fields=["1", "0.1", "0.5", "1", "0", "-5", "1" * 200_000])
+@example(fields=["1", "0.1", "0.5", "1", "0", "-5", "1"])
+@given(fields=st.lists(FIELDS, max_size=9))
+def test_a_track_log_row_loads_checked_or_names_the_file(tmp_path_factory, fields):
+    """A data row after a good one either loads finite, checked values or
+    raises a ValueError that names the file."""
+    path = tmp_path_factory.getbasetemp() / "row_property.csv"
+    path.write_text(TRACK_LOG_HEADER + "0,0.1,0.5,1,0,-5,0\n" + ",".join(fields) + "\n",
+                    encoding="utf-8", newline="")
+    try:
+        log = load_track_log(path)
+    except ValueError as err:
+        assert str(path) in str(err)
+        return
+    k = log.batch_index.size
+    np.testing.assert_array_equal(log.batch_index, np.arange(k))
+    for values in (log.time_s, log.exist_prob, log.psi_deg, log.psidot, log.eta_db):
+        assert values.shape == (k,) and np.isfinite(values).all()
+    assert ((log.exist_prob >= 0) & (log.exist_prob <= 1)).all()
+    assert log.confirmed.dtype == bool
 
 
 def test_auto_order_too_large_for_the_data_fails_with_one_line(workdir, tmp_path, capsys):

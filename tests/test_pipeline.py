@@ -57,14 +57,25 @@ def test_beam_energies_match_streaming_loop(order, n):
     assert warmup == ref_warm == (math.ceil(order / n) if order else 0)
 
 
-def test_beam_energies_shape_and_sign():
-    ds = random_dataset(8, 64, 3, seed=9)
+@pytest.mark.parametrize("order", [None, 3], ids=["raw", "var3"])
+@pytest.mark.parametrize("k, extra_rows", [(3, 0), (0, 0), (0, 63)],
+                         ids=["3-batches", "0-rows", "63-rows"])
+def test_beam_energies_shape_and_sign(k, extra_rows, order):
+    """A dataset shorter than one batch gives no energies and an empty track log."""
+    ds = random_dataset(8, 64, k, seed=9, extra_rows=extra_rows)
+    model = None
+    if order is not None:
+        model = fit_var(np.random.default_rng(2).standard_normal((3000, 8)), order)
     bearings = np.arange(-90.0, 91.0, 30.0)
-    energies, z_norm_sq, warmup = beam_energies(ds, BeamformGrid(ds.geometry, bearings, 64))
-    assert energies.shape == (3, bearings.size)
-    assert z_norm_sq.shape == (3,)
-    assert warmup == 0
+    energies, z_norm_sq, warmup = beam_energies(ds, BeamformGrid(ds.geometry, bearings, 64),
+                                                model)
+    assert energies.shape == (k, bearings.size) and energies.dtype == float
+    assert z_norm_sq.shape == (k,) and z_norm_sq.dtype == float
+    assert warmup == (1 if order and k else 0)  # VAR(3) warms up inside the first batch
     assert (energies >= 0).all()
+    log = run_tracker(ds, "cfar" if model is None else "tvar", default_config("sim"), model,
+                      spawn_rng(1, 1))
+    assert log.batch_index.size == log.exist_prob.size == k
 
 
 def test_bearing_beamformer_follows_the_dataset():
